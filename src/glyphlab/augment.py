@@ -122,8 +122,6 @@ def apply_affine(img: Tensor, p: AffineParams) -> Tensor:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ArgumentError(f"expected a single (h, w) image, got shape {img.shape}")
-    if p.zx <= 0.0 or p.zy <= 0.0:
-        raise ArgumentError(f"singular transform: zx={p.zx}, zy={p.zy}")
     if _is_identity_params(p):
         return img.copy()
 

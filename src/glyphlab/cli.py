@@ -244,10 +244,6 @@ def _cmd_train(args, kind: str) -> int:
     if kind == "mlr":
         model, history = mlr_train(train, val, cfg)
     else:
-        if len(train.class_names) != 2:
-            raise ArgumentError(
-                f"binary network training needs exactly 2 classes, got {len(train.class_names)}"
-            )
         model, history = cnn_train(train, val, cfg)
 
     save_model(model, args.model_out)

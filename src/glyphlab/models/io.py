@@ -18,6 +18,7 @@ placeholder names until bound to a dataset's class table.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -90,19 +91,22 @@ def save_model(model, sink) -> int:
     return len(blob)
 
 
-def _unpack_params(data: bytes, pos: int):
+def _unpack_params(data: bytes, pos: int, tag: int):
     if pos + 4 > len(data):
         raise CorruptFileError("GMD1 record header truncated")
     (rank,) = struct.unpack_from("<I", data, pos)
     pos += 4
+    want = 4 if tag == _TAG_CONV else 2
+    if rank != want:
+        raise CorruptFileError(f"layer tag {tag} must have rank {want}, got {rank}")
     if pos + 4 * rank > len(data):
         raise CorruptFileError("GMD1 extents truncated")
     extents = struct.unpack_from(f"<{rank}I", data, pos)
     pos += 4 * rank
-    n_w = int(np.prod(extents, dtype=np.int64)) if extents else 0
-    n_b = extents[0] if extents else 0
-    need = 8 * (n_w + n_b)
-    if pos + need > len(data):
+    # Python ints: a product of u32 extents must not wrap before the size check.
+    n_w = math.prod(extents)
+    n_b = extents[0]
+    if pos + 8 * (n_w + n_b) > len(data):
         raise CorruptFileError("GMD1 parameter payload truncated")
     weights = np.frombuffer(data, dtype="<f8", count=n_w, offset=pos).reshape(extents).copy()
     pos += 8 * n_w
@@ -137,8 +141,8 @@ def load_model(source):
         tag = data[pos]
         pos += 1
         if tag == _TAG_CONV:
-            weights, bias, pos = _unpack_params(data, pos)
-            if weights.ndim != 4 or weights.shape[2:] != (3, 3):
+            weights, bias, pos = _unpack_params(data, pos, tag)
+            if weights.shape[2:] != (3, 3):
                 raise CorruptFileError(f"conv weights must be (out, in, 3, 3), got {weights.shape}")
             conv = Conv2d(weights.shape[1], weights.shape[0])
             conv.weights[...] = weights
@@ -146,9 +150,7 @@ def load_model(source):
             layers.append(conv)
             total += weights.size + bias.size
         elif tag == _TAG_DENSE:
-            weights, bias, pos = _unpack_params(data, pos)
-            if weights.ndim != 2:
-                raise CorruptFileError(f"dense weights must be rank-2, got {weights.shape}")
+            weights, bias, pos = _unpack_params(data, pos, tag)
             dense = Dense(weights.shape[1], weights.shape[0])
             dense.weights[...] = weights
             dense.bias[...] = bias

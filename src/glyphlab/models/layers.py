@@ -2,16 +2,18 @@
 
 All layers take batched channels-last inputs: images are (n, h, w, c),
 vectors are (n, d). Forward caches whatever backward needs; backward
-consumes the cache, accumulates parameter gradients on the layer, and
-returns the gradient with respect to its input.
+consumes the cache of the latest forward, accumulates parameter
+gradients on the layer, and returns the gradient with respect to its
+input (Relu writes it over grad_out).
 
 Convolutions are 3x3 cross-correlations with same-size zero padding,
 evaluated as one matrix product over unrolled patches; the input
-gradient is the matching patch-gradient scatter (col2im). Large
-intermediates live in per-layer pools keyed by shape, because fresh
-page-faulted allocations dominate the runtime otherwise. A layer's
-cached state is therefore only valid until its next forward: run
-backward first, as every trainer does.
+gradient is the matching patch-gradient scatter (col2im). The patches,
+their gradients and the forward product live in per-layer buffers keyed
+by shape, which spares re-faulting their pages on every call (the
+32->32 layer's patches are 72 MiB at batch 32). A convolution's output
+and cache are therefore only valid until its next forward: run backward
+first, as every trainer does.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from ..errors import DimensionError
 from ..numerics import Tensor
 
 
-def _pooled(store: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
+def _pooled(store: dict, name: str, shape) -> np.ndarray:
     buf = store.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = store[name] = np.empty(shape, dtype=dtype)
+    if buf is None or buf.shape != shape:
+        buf = store[name] = np.empty(shape)
     return buf
 
 
@@ -77,8 +79,7 @@ class Conv2d(Layer):
         n, h, w, c = x.shape
         self._in_shape = x.shape
 
-        pad = _pooled(self._pool, "pad", (n, h + 2, w + 2, c))
-        pad.fill(0.0)
+        pad = np.zeros((n, h + 2, w + 2, c))
         pad[:, 1:-1, 1:-1, :] = x
         cols = _pooled(self._pool, "cols", (n, h, w, 3, 3, c))
         for di in range(3):
@@ -104,8 +105,7 @@ class Conv2d(Layer):
         gcols = _pooled(self._pool, "gcols", (n * h * w, 9 * c))
         np.matmul(g, self._wmat().T, out=gcols)
         g6 = gcols.reshape(n, h, w, 3, 3, c)
-        gpad = _pooled(self._pool, "gpad", (n, h + 2, w + 2, c))
-        gpad.fill(0.0)
+        gpad = np.zeros((n, h + 2, w + 2, c))
         for di in range(3):
             for dj in range(3):
                 gpad[:, di : di + h, dj : dj + w, :] += g6[:, :, :, di, dj, :]
@@ -114,62 +114,61 @@ class Conv2d(Layer):
 
 
 class MaxPool2x2(Layer):
-    """Non-overlapping 2x2 max; ties route to the first element in
-    row-major window order, both forward and backward."""
+    """Non-overlapping 2x2 max. Each window's gradient goes to its first
+    maximum in row-major order, or to its first NaN, as np.argmax picks;
+    every other input gets an exact +0.0."""
 
     def __init__(self):
-        self._pool: dict = {}
-        self._argmax = None
-        self._in_shape = None
+        self._x = None
+        self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise DimensionError(f"pooling needs even extents, got {h}x{w}")
-        h2, w2 = h // 2, w // 2
-        windows = _pooled(self._pool, "win", (n, h2, w2, 2, 2, c))
-        windows[...] = x.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-        flat = windows.reshape(n, h2, w2, 4, c)
-        argmax = _pooled(self._pool, "arg", (n, h2, w2, c), dtype=np.intp)
-        np.argmax(flat, axis=3, out=argmax)
-        out = _pooled(self._pool, "out", (n, h2, w2, c))
-        np.amax(flat, axis=3, out=out)
-        self._argmax = argmax
-        self._in_shape = x.shape
+        taps = x.reshape(n, h // 2, 2, w // 2, 2, c)
+        out = np.maximum(taps[:, :, 0, :, 0], taps[:, :, 0, :, 1])
+        np.maximum(out, taps[:, :, 1, :, 0], out=out)
+        np.maximum(out, taps[:, :, 1, :, 1], out=out)
+        self._x = x
+        self._out = out
         return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        n, h, w, c = self._in_shape
-        h2, w2 = h // 2, w // 2
-        if grad_out.shape != (n, h2, w2, c):
+        out = self._out
+        if grad_out.shape != out.shape:
             raise DimensionError(f"pool gradient shape {grad_out.shape} does not match forward")
-        flat = _pooled(self._pool, "gwin", (n, h2, w2, 4, c))
-        flat.fill(0.0)
-        np.put_along_axis(flat, self._argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-        gx = _pooled(self._pool, "gx", (n, h, w, c))
-        gx.reshape(n, h2, 2, w2, 2, c)[...] = (
-            flat.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-        )
+        n, h, w, c = self._x.shape
+        taps = self._x.reshape(n, h // 2, 2, w // 2, 2, c)
+        gx = np.empty((n, h, w, c))
+        gtaps = gx.reshape(taps.shape)
+        # In row-major tap order, a tap takes the gradient where it holds the
+        # max (or a NaN) and no earlier tap took it; the last tap takes the
+        # rest. Bit patterns times 0 or 1 write exact +0.0 everywhere else.
+        gbits = np.asarray(grad_out, dtype=np.float64).view(np.int64)
+        take = np.empty(out.shape, dtype=bool)
+        left = np.ones(out.shape, dtype=bool)
+        for di, dj in ((0, 0), (0, 1), (1, 0)):
+            tap = taps[:, :, di, :, dj]
+            np.equal(tap, out, out=take)
+            take |= np.isnan(tap)
+            take &= left
+            left ^= take
+            np.multiply(gbits, take, out=gtaps[:, :, di, :, dj].view(np.int64))
+        np.multiply(gbits, left, out=gtaps[:, :, 1, :, 1].view(np.int64))
         return gx
 
 
 class Relu(Layer):
     def __init__(self):
-        self._pool: dict = {}
-        self._mask = None
+        self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
-        mask = _pooled(self._pool, "mask", x.shape, dtype=bool)
-        np.greater(x, 0.0, out=mask)
-        out = _pooled(self._pool, "out", x.shape)
-        np.multiply(x, mask, out=out)
-        self._mask = mask
-        return out
+        self._out = np.maximum(x, 0.0)
+        return self._out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        gx = _pooled(self._pool, "gx", grad_out.shape)
-        np.multiply(grad_out, self._mask, out=gx)
-        return gx
+        return np.multiply(grad_out, self._out > 0.0, out=grad_out)
 
 
 class Flatten(Layer):

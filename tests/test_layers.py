@@ -41,6 +41,39 @@ def quadratic_head(rng, shape):
     return coeffs
 
 
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def naive_pool(x, g):
+    """Per-window loop: np.amax forward, gradient to np.argmax (the first
+    max in row-major window order, or the first NaN), exact +0.0 elsewhere."""
+    n, h, w, c = x.shape
+    out = np.empty((n, h // 2, w // 2, c))
+    gx = np.zeros_like(x)
+    for b in range(n):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                for ch in range(c):
+                    win = x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch].ravel()
+                    out[b, i, j, ch] = np.amax(win)
+                    k = int(np.argmax(win))
+                    gx[b, 2 * i + k // 2, 2 * j + k % 2, ch] = g[b, i, j, ch]
+    return out, gx
+
+
+def tie_batch(seed, shape):
+    """Small integers (many repeated maxima), zeros of both signs, and one
+    window whose first NaN is its third tap."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    zeros = x == 0.0
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    x[0, 0:2, 0:2, 0] = [[-0.0, 0.0], [-0.0, 0.0]]
+    x[1, 2:4, 2:4, 1] = [[1.0, 2.0], [np.nan, np.nan]]
+    return x
+
+
 class TestConvForward:
     def test_identity_kernel(self):
         x = Rng(1).uniform_array((1, 4, 4, 1))
@@ -127,6 +160,16 @@ class TestMaxPool:
         with pytest.raises(DimensionError):
             MaxPool2x2().forward(np.zeros((1, 3, 4, 1)))
 
+    def test_matches_per_window_reference_bitwise(self):
+        for seed in range(4):
+            x = tie_batch(seed, (2, 4, 6, 3))
+            g = np.random.default_rng(100 + seed).normal(size=(2, 2, 3, 3))
+            g[0, 0, 0, :] = -0.0  # a taken -0.0 must arrive as -0.0
+            ref_out, ref_gx = naive_pool(x, g)
+            pool = MaxPool2x2()
+            assert np.array_equal(bits(pool.forward(x)), bits(ref_out))
+            assert np.array_equal(bits(pool.backward(g)), bits(ref_gx))
+
     def test_finite_difference_away_from_ties(self):
         rng = Rng(8)
         for _ in range(5):
@@ -199,6 +242,16 @@ class TestActivations:
         relu.forward(np.array([[0.0, -0.5, 0.5]]))
         gx = relu.backward(np.ones((1, 3)))
         assert gx.tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_relu_matches_mask_product_bitwise(self):
+        x = tie_batch(1, (2, 4, 6, 3))
+        g = np.random.default_rng(7).normal(size=x.shape)
+        relu = Relu()
+        out = relu.forward(x)
+        # np.maximum writes +0.0 where x * (x > 0) writes -0.0 (x < 0 or
+        # x == -0.0); adding +0.0 turns exactly those zeros positive.
+        assert np.array_equal(bits(out), bits(x * (x > 0) + 0.0))
+        assert np.array_equal(bits(relu.backward(g.copy())), bits(g * (x > 0)))
 
     def test_sigmoid_center(self):
         assert Sigmoid().forward(np.array([[0.0]]))[0, 0] == 0.5

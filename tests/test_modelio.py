@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import make_shapes_dataset
 from glyphlab import (
     CnnModel,
     CorruptFileError,
@@ -14,7 +15,9 @@ from glyphlab import (
     predict_proba,
     reference_cnn,
     save_model,
+    write_gly,
 )
+from glyphlab.cli import main
 
 
 def random_mlr(rng, n_classes=4, n_features=9):
@@ -98,3 +101,25 @@ class TestCorruptFiles:
     def test_loaded_names_are_placeholders(self):
         back = load_model(io.BytesIO(self._cnn_bytes()))
         assert back.class_names == ("class000", "class001")
+
+    # The first record is conv1: tag byte at 13, u32 rank at 14, extents from 18.
+    @pytest.mark.parametrize(
+        "offset, patch",
+        [
+            (14, struct.pack("<I", 65)),
+            (18, struct.pack("<4I", 1, 1, 2**32 - 1, 2**32 - 1)),  # int64 product wraps negative
+        ],
+        ids=["conv_rank_65", "extents_product_wraps"],
+    )
+    def test_malformed_conv_record(self, tmp_path, offset, patch):
+        data = bytearray(self._cnn_bytes())
+        data[offset : offset + len(patch)] = patch
+        model = tmp_path / "bad.gmd"
+        model.write_bytes(bytes(data))
+        with pytest.raises(CorruptFileError):
+            load_model(model)
+        val = tmp_path / "val.gly"
+        write_gly(make_shapes_dataset(2, side=32, seed=1), val)
+        rc = main(["evaluate", "--model", str(model), "--data", str(val),
+                   "--out-csv", str(tmp_path / "e.csv"), "--roc-svg", str(tmp_path / "e.svg")])
+        assert rc == 3
