@@ -7,6 +7,11 @@ perplexity (2^H) hits the target, the joint P is the symmetrized
 conditional, and the low-dimensional affinities Q follow a Student-t
 with one degree of freedom. Optimization is plain gradient descent with
 momentum, early exaggeration of P, and a per-iteration KL record.
+
+Each iterate builds one Q: the KL recorded after a step is taken at
+exactly the y that the next step differentiates, so the descent passes
+that step's (Q, W) to both kl_divergence and the next kl_gradient, and
+a run of k iterations builds k + 1 Qs instead of 2k.
 """
 
 from __future__ import annotations
@@ -179,23 +184,40 @@ def _joint_p(x: Tensor, perplexity: float) -> Tensor:
 def _student_q(y: Tensor) -> tuple[Tensor, Tensor]:
     """Normalized t-affinities Q and the unnormalized weights W."""
     sq = np.sum(y * y, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
-    np.maximum(d2, 0.0, out=d2)
-    w = 1.0 / (1.0 + d2)
+    w = sq[:, None] + sq[None, :]
+    gram = y @ y.T
+    gram *= 2.0
+    w -= gram  # squared distances, in the same order of operations as a + b - 2g
+    np.maximum(w, 0.0, out=w)
+    w += 1.0
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    return w / w.sum(), w
+    np.divide(w, w.sum(), out=gram)
+    return gram, w
 
 
-def kl_divergence(p: Tensor, y: Tensor) -> float:
-    """KL(P || Q(y)) over off-diagonal pairs, the tSNE objective."""
-    q, _ = _student_q(y)
+def kl_divergence(p: Tensor, y: Tensor, *, affinities=None) -> float:
+    """KL(P || Q(y)) over off-diagonal pairs, the tSNE objective.
+
+    affinities, when given, is _student_q(y), already built by the caller.
+    """
+    q, _ = _student_q(y) if affinities is None else affinities
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _P_FLOOR))))
+    pm = p[mask]
+    qm = q[mask]
+    np.maximum(qm, _P_FLOOR, out=qm)
+    np.divide(pm, qm, out=qm)
+    np.log(qm, out=qm)
+    qm *= pm
+    return float(np.sum(qm))
 
 
-def kl_gradient(p: Tensor, y: Tensor) -> Tensor:
-    """Analytic objective gradient: 4 sum_j (p-q)(y_i-y_j)/(1+||.||^2)."""
-    q, w = _student_q(y)
+def kl_gradient(p: Tensor, y: Tensor, *, affinities=None) -> Tensor:
+    """Analytic objective gradient: 4 sum_j (p-q)(y_i-y_j)/(1+||.||^2).
+
+    affinities, when given, is _student_q(y), already built by the caller.
+    """
+    q, w = _student_q(y) if affinities is None else affinities
     a = (p - q) * w
     return 4.0 * (a.sum(axis=1)[:, None] * y - a @ y)
 
@@ -222,16 +244,19 @@ def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
     rng = Rng(derive_seed(cfg.seed, 0x54534E45))  # stream tag: tsne init
     y = rng.normal_array((n, cfg.out_dims), 0.0, 1e-4)
     velocity = np.zeros_like(y)
+    p_exaggerated = p * cfg.exaggeration
 
     kl_history = np.empty(cfg.iters)
+    affinities = _student_q(y)
     for it in range(cfg.iters):
         exaggerating = it < cfg.exaggeration_iters
-        p_eff = p * cfg.exaggeration if exaggerating else p
-        grad = kl_gradient(p_eff, y)
+        p_eff = p_exaggerated if exaggerating else p
+        grad = kl_gradient(p_eff, y, affinities=affinities)
         momentum = cfg.momentum_early if exaggerating else cfg.momentum_late
         velocity = momentum * velocity - eta * grad
         y = y + velocity
-        kl_history[it] = kl_divergence(p, y)
+        affinities = _student_q(y)
+        kl_history[it] = kl_divergence(p, y, affinities=affinities)
     return Embedding(y, kl_history)
 
 
@@ -268,13 +293,13 @@ def hcluster_average(dm: DistanceMatrix) -> Dendrogram:
         children[new] = (a, b)
         merges.append((a, b, height, int(sizes[a] + sizes[b])))
 
-        # Lance-Williams update for average linkage.
-        for k in np.flatnonzero(active):
-            if k == a or k == b:
-                continue
-            dak = big[min(a, k), max(a, k)]
-            dbk = big[min(b, k), max(b, k)]
-            big[k, new] = (sizes[a] * dak + sizes[b] * dbk) / (sizes[a] + sizes[b])
+        # Lance-Williams update for average linkage, over every other
+        # active cluster k at once; distances live at [min, max].
+        ks = np.flatnonzero(active)
+        ks = ks[(ks != a) & (ks != b)]
+        dak = big[np.minimum(a, ks), np.maximum(a, ks)]
+        dbk = big[np.minimum(b, ks), np.maximum(b, ks)]
+        big[ks, new] = (sizes[a] * dak + sizes[b] * dbk) / (sizes[a] + sizes[b])
         sizes[new] = sizes[a] + sizes[b]
         active[a] = active[b] = False
         active[new] = True

@@ -135,6 +135,8 @@ def load_model(source):
     pos = 13
     layers = []
     total = 0
+    channels = 1  # images enter the first conv with one channel
+    features = None  # the previous dense layer's output width
     for _ in range(count):
         if pos + 1 > len(data):
             raise CorruptFileError("GMD1 layer record truncated")
@@ -144,6 +146,11 @@ def load_model(source):
             weights, bias, pos = _unpack_params(data, pos, tag)
             if weights.shape[2:] != (3, 3):
                 raise CorruptFileError(f"conv weights must be (out, in, 3, 3), got {weights.shape}")
+            if weights.shape[1] != channels:
+                raise CorruptFileError(
+                    f"conv layer takes {weights.shape[1]} channels, but {channels} reach it"
+                )
+            channels = weights.shape[0]
             conv = Conv2d(weights.shape[1], weights.shape[0])
             conv.weights[...] = weights
             conv.bias[...] = bias
@@ -151,6 +158,11 @@ def load_model(source):
             total += weights.size + bias.size
         elif tag == _TAG_DENSE:
             weights, bias, pos = _unpack_params(data, pos, tag)
+            if features is not None and weights.shape[1] != features:
+                raise CorruptFileError(
+                    f"dense layer takes {weights.shape[1]} inputs, but {features} reach it"
+                )
+            features = weights.shape[0]
             dense = Dense(weights.shape[1], weights.shape[0])
             dense.weights[...] = weights
             dense.bias[...] = bias

@@ -9,6 +9,8 @@ import colorsys
 
 import numpy as np
 
+from .errors import ArgumentError
+
 WIDTH = 800
 HEIGHT = 600
 _MARGIN = 60
@@ -84,6 +86,8 @@ def heatmap_svg(matrix, ribbon, class_names, title: str = "") -> str:
     """Distance heatmap, darker cells for smaller distances, with class
     ribbon strips along the top and left edges."""
     m = np.asarray(matrix, dtype=np.float64)
+    if not np.isfinite(m).all() or (m < 0).any():
+        raise ArgumentError("heatmap values must be finite and non-negative")
     ribbon = np.asarray(ribbon, dtype=np.int64)
     n = m.shape[0]
     colors = class_palette(len(class_names))
@@ -91,28 +95,30 @@ def heatmap_svg(matrix, ribbon, class_names, title: str = "") -> str:
     strip = 12
     grid = min(WIDTH, HEIGHT) - 2 * _MARGIN - strip
     cell = grid / n
-    ox = _MARGIN + strip
-    oy = _MARGIN + strip
+    origin = _MARGIN + strip  # the grid's left and top edge
     peak = m.max() if m.max() > 0 else 1.0
+    # np.rint rounds half to even, as round() does on a float.
+    shades = np.rint(255 * m / peak).astype(np.int64).tolist()
+
+    # Every cell string is one of n offsets (x and y alike) and 256 greys.
+    size = _fmt(cell)
+    offsets = [_fmt(origin + i * cell) for i in range(n)]
+    heads = [f'<rect x="{x}" y="' for x in offsets]
+    fills = [f'#{s:02x}{s:02x}{s:02x}"/>' for s in range(256)]
 
     lines = _header(title)
-    for i in range(n):
-        for j in range(n):
-            shade = round(255 * m[i, j] / peak)
-            fill = f"#{shade:02x}{shade:02x}{shade:02x}"
-            lines.append(
-                f'<rect x="{_fmt(ox + j * cell)}" y="{_fmt(oy + i * cell)}" '
-                f'width="{_fmt(cell)}" height="{_fmt(cell)}" fill="{fill}"/>'
-            )
+    for y, row in zip(offsets, shades):
+        mid = f'{y}" width="{size}" height="{size}" fill="'
+        lines.extend([head + mid + fills[s] for head, s in zip(heads, row)])
     for i in range(n):  # ribbons: left edge and top edge
         c = colors[ribbon[i]]
         lines.append(
-            f'<rect x="{_fmt(ox - strip)}" y="{_fmt(oy + i * cell)}" '
-            f'width="{strip - 2}" height="{_fmt(cell)}" fill="{c}"/>'
+            f'<rect x="{_fmt(origin - strip)}" y="{offsets[i]}" '
+            f'width="{strip - 2}" height="{size}" fill="{c}"/>'
         )
         lines.append(
-            f'<rect x="{_fmt(ox + i * cell)}" y="{_fmt(oy - strip)}" '
-            f'width="{_fmt(cell)}" height="{strip - 2}" fill="{c}"/>'
+            f'<rect x="{offsets[i]}" y="{_fmt(origin - strip)}" '
+            f'width="{size}" height="{strip - 2}" fill="{c}"/>'
         )
     for i, name in enumerate(class_names):
         ly = _MARGIN + 16 * i

@@ -16,6 +16,7 @@ from glyphlab import (
     tsne,
 )
 from glyphlab.eda import _joint_p, _student_q
+from glyphlab.numerics import derive_seed
 
 
 def brute_force_upgma(d):
@@ -43,6 +44,41 @@ def brute_force_upgma(d):
         active.sort()
         nxt += 1
     return merges
+
+
+def reference_q(y):
+    """Student-t Q and W as one expression each, without output buffers."""
+    sq = np.sum(y * y, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    np.maximum(d2, 0.0, out=d2)
+    w = 1.0 / (1.0 + d2)
+    np.fill_diagonal(w, 0.0)
+    return w / w.sum(), w
+
+
+def reference_tsne(x, cfg):
+    """The descent built from two fresh Qs per iterate: one for the
+    gradient at y, one for the KL after the step."""
+    n = x.shape[0]
+    perplexity = min(max(cfg.perplexity, 1.0), (n - 1) / 3.0)
+    eta = min(cfg.learning_rate, max(1.0, n / cfg.exaggeration))
+    p = _joint_p(x, perplexity)
+    y = Rng(derive_seed(cfg.seed, 0x54534E45)).normal_array((n, cfg.out_dims), 0.0, 1e-4)
+    velocity = np.zeros_like(y)
+    kl_history = np.empty(cfg.iters)
+    for it in range(cfg.iters):
+        exaggerating = it < cfg.exaggeration_iters
+        p_eff = p * cfg.exaggeration if exaggerating else p
+        q, w = reference_q(y)
+        a = (p_eff - q) * w
+        grad = 4.0 * (a.sum(axis=1)[:, None] * y - a @ y)
+        momentum = cfg.momentum_early if exaggerating else cfg.momentum_late
+        velocity = momentum * velocity - eta * grad
+        y = y + velocity
+        q, _ = reference_q(y)
+        mask = p > 0.0
+        kl_history[it] = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-12))))
+    return y, kl_history
 
 
 def random_distance_matrix(rng, n):
@@ -142,6 +178,27 @@ class TestTsne:
             else:
                 assert abs(a - fd) < 1e-10
 
+    def test_one_q_per_iterate_is_bitwise_the_two_q_descent(self):
+        x = Rng(31).uniform_array((40, 7), -1, 1)
+        cfg = TsneConfig(perplexity=8.0, iters=60, exaggeration_iters=25, seed=4)
+        emb = tsne(x, cfg)
+        y, kl_history = reference_tsne(x, cfg)
+        assert emb.y.tobytes() == y.tobytes()
+        assert emb.kl_history.tobytes() == kl_history.tobytes()
+
+    def test_student_q_matches_reference_bitwise(self):
+        y = Rng(32).uniform_array((30, 3), -3, 3)
+        for got, want in zip(_student_q(y), reference_q(y)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_passed_affinities_give_the_same_bits(self):
+        rng = Rng(33)
+        p = _joint_p(rng.uniform_array((25, 5), -2, 2), 5.0)
+        y = rng.uniform_array((25, 3), -1, 1)
+        aff = _student_q(y)
+        assert kl_gradient(p, y, affinities=aff).tobytes() == kl_gradient(p, y).tobytes()
+        assert kl_divergence(p, y, affinities=aff) == kl_divergence(p, y)
+
     def test_kl_decreases_across_seed_suite(self):
         x = Rng(3).uniform_array((14, 6), -1, 1)
         for seed in range(10):
@@ -175,6 +232,24 @@ class TestHclusterAverage:
             for (ga, gb, gh, gs), (wa, wb, wh, ws) in zip(got, want):
                 assert (ga, gb, gs) == (wa, wb, ws)
                 assert abs(gh - wh) <= 1e-9
+
+    @pytest.mark.parametrize("seed, n", [(41, 40), (42, 51), (43, 60)])
+    def test_matches_brute_force_on_larger_matrices(self, seed, n):
+        dm = random_distance_matrix(Rng(seed), n)
+        got = hcluster_average(dm).merges
+        want = brute_force_upgma(dm.d)
+        assert len(got) == len(want) == n - 1
+        for (ga, gb, gh, gs), (wa, wb, wh, ws) in zip(got, want):
+            assert (ga, gb, gs) == (wa, wb, ws)
+            assert abs(gh - wh) <= 1e-9
+
+    def test_matches_brute_force_when_every_distance_ties(self):
+        n = 45
+        d = np.ones((n, n)) - np.eye(n)
+        got = hcluster_average(DistanceMatrix(n, d)).merges
+        want = brute_force_upgma(d)
+        assert [m[:2] + m[3:] for m in got] == [m[:2] + m[3:] for m in want]
+        assert all(abs(g[2] - w[2]) <= 1e-9 for g, w in zip(got, want))
 
     def test_heights_non_decreasing(self):
         rng = Rng(19)

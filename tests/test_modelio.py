@@ -18,6 +18,7 @@ from glyphlab import (
     write_gly,
 )
 from glyphlab.cli import main
+from glyphlab.models.layers import Conv2d, Dense
 
 
 def random_mlr(rng, n_classes=4, n_features=9):
@@ -116,6 +117,36 @@ class TestCorruptFiles:
         data[offset : offset + len(patch)] = patch
         model = tmp_path / "bad.gmd"
         model.write_bytes(bytes(data))
+        with pytest.raises(CorruptFileError):
+            load_model(model)
+        val = tmp_path / "val.gly"
+        write_gly(make_shapes_dataset(2, side=32, seed=1), val)
+        rc = main(["evaluate", "--model", str(model), "--data", str(val),
+                   "--out-csv", str(tmp_path / "e.csv"), "--roc-svg", str(tmp_path / "e.svg")])
+        assert rc == 3
+
+
+class TestLayerChain:
+    """A file whose channel or feature chain does not connect is corrupt."""
+
+    @staticmethod
+    def _broken_cnn(index, layer):
+        model = reference_cnn(32, seed=5)
+        model.layers[index] = layer
+        return model
+
+    @pytest.mark.parametrize(
+        "index, layer",
+        [
+            (0, Conv2d(2, 32)),  # images carry one channel
+            (3, Conv2d(16, 32)),  # conv1 puts out 32 channels
+            (-2, Dense(64, 1)),  # the hidden dense layer puts out 128
+        ],
+        ids=["first_conv_in", "conv_chain", "dense_chain"],
+    )
+    def test_inconsistent_chain_is_corrupt(self, tmp_path, index, layer):
+        model = tmp_path / "bad.gmd"
+        save_model(self._broken_cnn(index, layer), model)
         with pytest.raises(CorruptFileError):
             load_model(model)
         val = tmp_path / "val.gly"
