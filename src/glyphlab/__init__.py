@@ -73,6 +73,5 @@ from .models import (
     rmsprop_init,
     rmsprop_step,
     save_model,
-    softmax,
 )
-from .numerics import Rng, Tensor, derive_seed, glorot_init, matmul, tensor_new
+from .numerics import Rng, Tensor, derive_seed, glorot_init

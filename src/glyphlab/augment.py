@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _bilinear
 from .errors import ArgumentError
 from .numerics import Rng, Tensor, derive_seed
 
@@ -146,19 +147,7 @@ def apply_affine(img: Tensor, p: AffineParams) -> Tensor:
         sx = (w - 1) - sx
     if p.vflip:
         sy = (h - 1) - sy
-
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
-    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
-    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
-    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
-
-    top = img[y0i, x0i] * (1.0 - fx) + img[y0i, x1i] * fx
-    bot = img[y1i, x0i] * (1.0 - fx) + img[y1i, x1i] * fx
-    return top * (1.0 - fy) + bot * fy
+    return _bilinear(img, sx, sy)
 
 
 def augment_batch(images: Tensor, policy: AugmentPolicy, seed: int, counter: int = 0) -> Tensor:

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from .dataset import (
     read_gly,
     write_gly,
     write_pgm,
+    write_sink,
 )
 from .eda import TsneConfig, clustered_map, hcluster_average, pairwise_euclidean, tsne
 from .errors import ArgumentError, DataFormatError
@@ -41,51 +41,38 @@ from .models import (
     predict_proba,
     save_model,
 )
-from .models.config import TrainConfig, cnn_defaults, mlr_defaults
+from .models.config import cnn_defaults, mlr_defaults
 from .svgplot import heatmap_svg, roc_svg, scatter_svg
 
 _ENV_SEED = "GLYPHLAB_SEED"
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to replay a run bit for bit."""
-
-    subcommand: str
-    params: dict
-    seed: int
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-
-    def to_json(self) -> str:
-        body = {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
-
-
 def _write_text(path, text: str) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_sink(path, text.encode("utf-8"))
 
 
-def _write_manifest(manifest: RunManifest) -> None:
-    # One manifest per distinct output directory, named after the first
-    # output that lands there.
+def _write_manifest(args, inputs: list, outputs: list) -> None:
+    """Record everything needed to replay a run bit for bit.
+
+    params are the parsed arguments with their defaults resolved; one
+    manifest goes to each distinct output directory, named after the
+    first output that lands there.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")}
+    body = {
+        "subcommand": args.command,
+        "params": params,
+        "seed": args.seed,
+        "inputs": inputs,
+        "outputs": outputs,
+        "version": __version__,
+    }
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     seen = {}
-    for out in manifest.outputs:
-        parent = str(Path(out).parent)
-        seen.setdefault(parent, Path(out).name)
+    for out in outputs:
+        seen.setdefault(str(Path(out).parent), Path(out).name)
     for parent, name in seen.items():
-        _write_text(Path(parent) / f"{name}.manifest.json", manifest.to_json())
+        _write_text(Path(parent) / f"{name}.manifest.json", text)
 
 
 def _f(v: float) -> str:
@@ -93,6 +80,8 @@ def _f(v: float) -> str:
 
 
 def _resolve_seed(args) -> int:
+    if "seed" not in args:  # the subcommand takes no seed
+        return 0
     if args.seed is not None:
         return args.seed
     env = os.environ.get(_ENV_SEED)
@@ -126,27 +115,21 @@ def cmd_ingest(args) -> int:
         raise ArgumentError(f"no such input directory: {args.input}")
     ds = ingest_dir(root, side=args.size)
     write_gly(ds, args.output)
-    manifest = RunManifest(
-        "ingest",
-        {"input": str(args.input), "output": str(args.output), "size": args.size},
-        seed=0,
-        inputs=[str(args.input)],
-        outputs=[str(args.output)],
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.input], [args.output])
     print(f"n={ds.n} classes={len(ds.class_names)} size={args.size}")
     return 0
 
 
 def cmd_tsne(args) -> int:
-    seed = _resolve_seed(args)
+    if args.iters < 1:
+        raise ArgumentError(f"iters must be >= 1, got {args.iters}")
     ds = _parse_classes(_load_dataset(args.input), args.classes)
     cfg = TsneConfig(
         out_dims=3,
         perplexity=args.perplexity,
         iters=args.iters,
         exaggeration_iters=min(250, args.iters // 4),
-        seed=seed,
+        seed=args.seed,
     )
     emb = tsne(ds.images.reshape(ds.n, -1), cfg)
 
@@ -164,21 +147,7 @@ def cmd_tsne(args) -> int:
         scatter_svg(emb.y[:, :2], ds.labels, ds.class_names, title="embedding"),
     )
 
-    manifest = RunManifest(
-        "tsne",
-        {
-            "input": str(args.input),
-            "classes": args.classes,
-            "perplexity": args.perplexity,
-            "iters": args.iters,
-            "out_csv": str(args.out_csv),
-            "out_svg": str(args.out_svg),
-        },
-        seed=seed,
-        inputs=[str(args.input)],
-        outputs=[str(args.out_csv), str(args.out_svg)],
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.input], [args.out_csv, args.out_svg])
     print(f"embedded n={ds.n} classes={len(ds.class_names)} final_kl={_f(emb.kl_history[-1])}")
     return 0
 
@@ -199,19 +168,7 @@ def cmd_distmap(args) -> int:
         heatmap_svg(reordered, ribbon, ds.class_names, title="clustered distance map"),
     )
 
-    manifest = RunManifest(
-        "distmap",
-        {
-            "input": str(args.input),
-            "classes": args.classes,
-            "out_csv": str(args.out_csv),
-            "out_svg": str(args.out_svg),
-        },
-        seed=0,
-        inputs=[str(args.input)],
-        outputs=[str(args.out_csv), str(args.out_svg)],
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.input], [args.out_csv, args.out_svg])
     print(f"clustered n={dm.n} classes={len(ds.class_names)}")
     return 0
 
@@ -227,18 +184,15 @@ def _history_csv(history) -> str:
 
 
 def _cmd_train(args, kind: str) -> int:
-    seed = _resolve_seed(args)
     train = _load_dataset(args.train)
     val = _load_dataset(args.val)
     policy = preset(args.augment)
 
-    base = mlr_defaults() if kind == "mlr" else cnn_defaults()
-    cfg = TrainConfig(
-        epochs=args.epochs if args.epochs is not None else base.epochs,
-        batch_size=args.batch if args.batch is not None else base.batch_size,
-        learning_rate=args.lr if args.lr is not None else base.learning_rate,
-        l2=base.l2,
-        seed=seed,
+    cfg = (mlr_defaults if kind == "mlr" else cnn_defaults)(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        seed=args.seed,
         augment_policy=policy,
     )
     if kind == "mlr":
@@ -248,23 +202,7 @@ def _cmd_train(args, kind: str) -> int:
 
     save_model(model, args.model_out)
     _write_text(args.history_out, _history_csv(history))
-    manifest = RunManifest(
-        f"train-{kind}",
-        {
-            "train": str(args.train),
-            "val": str(args.val),
-            "augment": args.augment,
-            "epochs": cfg.epochs,
-            "batch": cfg.batch_size,
-            "lr": cfg.learning_rate,
-            "model_out": str(args.model_out),
-            "history_out": str(args.history_out),
-        },
-        seed=seed,
-        inputs=[str(args.train), str(args.val)],
-        outputs=[str(args.model_out), str(args.history_out)],
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.train, args.val], [args.model_out, args.history_out])
     if len(history):
         epoch = overfit_epoch(history)
         if epoch is not None:
@@ -318,25 +256,12 @@ def cmd_evaluate(args) -> int:
         curves.append((f"{names[c]} (auc={auc(curve):.3f})", curve.points))
     _write_text(args.roc_svg, roc_svg(curves, title="one-vs-rest ROC"))
 
-    manifest = RunManifest(
-        "evaluate",
-        {
-            "model": str(args.model),
-            "data": str(args.data),
-            "out_csv": str(args.out_csv),
-            "roc_svg": str(args.roc_svg),
-        },
-        seed=0,
-        inputs=[str(args.model), str(args.data)],
-        outputs=[str(args.out_csv), str(args.roc_svg)],
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.model, args.data], [args.out_csv, str(args.roc_svg)])
     print(f"evaluated n={ds.n} macro_auc={_f(macro)} accuracy={_f(acc)}")
     return 0
 
 
 def cmd_augment_preview(args) -> int:
-    seed = _resolve_seed(args)
     ds = _load_dataset(args.input)
     policy = preset(args.policy)
     if args.count < 1:
@@ -347,26 +272,14 @@ def cmd_augment_preview(args) -> int:
     h, w = ds.image_shape
     outputs = []
     for k in range(args.count):
-        batch = augment_batch(ds.images, policy, seed, counter=k)
+        batch = augment_batch(ds.images, policy, args.seed, counter=k)
         pixels = np.floor(batch * 255.0 + 0.5).astype(np.uint8)
         for i in range(ds.n):
             name = f"{i:05d}_{k:02d}.pgm"
             (out_dir / name).write_bytes(write_pgm(GrayImage(w, h, pixels[i])))
             outputs.append(str(out_dir / name))
 
-    manifest = RunManifest(
-        "augment-preview",
-        {
-            "input": str(args.input),
-            "policy": args.policy,
-            "count": args.count,
-            "out": str(args.out),
-        },
-        seed=seed,
-        inputs=[str(args.input)],
-        outputs=outputs,
-    )
-    _write_manifest(manifest)
+    _write_manifest(args, [args.input], outputs)
     print(f"wrote {len(outputs)} previews to {args.out}")
     return 0
 
@@ -402,17 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-svg", required=True)
     p.set_defaults(func=cmd_distmap)
 
-    for kind, help_text in (
-        ("mlr", "train multinomial logistic regression"),
-        ("cnn", "train the binary convolutional network"),
+    for kind, help_text, base in (
+        ("mlr", "train multinomial logistic regression", mlr_defaults()),
+        ("cnn", "train the binary convolutional network", cnn_defaults()),
     ):
         p = sub.add_parser(f"train-{kind}", help=help_text)
         p.add_argument("--train", required=True)
         p.add_argument("--val", required=True)
         p.add_argument("--augment", default="none", choices=["none", "lossless", "lossy"])
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--epochs", type=int, default=base.epochs)
+        p.add_argument("--batch", type=int, default=base.batch_size)
+        p.add_argument("--lr", type=float, default=base.learning_rate)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--model-out", required=True)
         p.add_argument("--history-out", required=True)
@@ -439,14 +352,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,7 +1,7 @@
 from .config import TrainConfig, TrainHistory
 from .layers import Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 from .optim import RmspropState, rmsprop_init, rmsprop_step
-from .mlr import MlrModel, mlr_train, softmax
+from .mlr import MlrModel, mlr_train
 from .cnn import CnnModel, bce_loss, cnn_train, param_count, reference_cnn
 from .io import load_model, save_model
 
@@ -25,7 +25,6 @@ __all__ = [
     "rmsprop_step",
     "MlrModel",
     "mlr_train",
-    "softmax",
     "CnnModel",
     "bce_loss",
     "cnn_train",

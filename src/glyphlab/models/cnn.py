@@ -173,10 +173,7 @@ def cnn_train(
             if cfg.l2 > 0.0:
                 for prm, grd in zip(model.params, model.grads):
                     grd += cfg.l2 * prm
-            rmsprop_step(
-                model.params, model.grads, state,
-                cfg.learning_rate, cfg.rmsprop_rho, cfg.rmsprop_eps,
-            )
+            rmsprop_step(model.params, model.grads, state, cfg.learning_rate)
 
         val_p = model.predict_proba(val.images, chunk=cfg.batch_size)
         val_loss = float(bce_loss(val_p, val.labels).mean())

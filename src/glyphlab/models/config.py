@@ -15,8 +15,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-4
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-8
     l2: float = 0.0
     seed: int = 0
     augment_policy: AugmentPolicy = field(default_factory=lambda: preset("none"))
@@ -24,8 +22,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ArgumentError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.rmsprop_rho < 1.0:
-            raise ArgumentError(f"rmsprop_rho must be in (0, 1), got {self.rmsprop_rho}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ArgumentError("epochs must be >= 0 and batch_size >= 1")
         if self.l2 < 0.0:

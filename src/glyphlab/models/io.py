@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from ..dataset import read_source, write_sink
 from ..errors import ArgumentError, CorruptFileError
 from .cnn import CnnModel
 from .layers import Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
@@ -84,11 +84,7 @@ def save_model(model, sink) -> int:
     blob += b"".join(records)
     blob += struct.pack("<Q", total)
 
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(blob)
-    else:
-        sink.write(blob)
-    return len(blob)
+    return write_sink(sink, blob)
 
 
 def _unpack_params(data: bytes, pos: int, tag: int):
@@ -117,11 +113,7 @@ def _unpack_params(data: bytes, pos: int, tag: int):
 
 def load_model(source):
     """Parse a GMD1 file into an MlrModel or CnnModel."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
-
+    data = read_source(source)
     if len(data) < 4 or data[:4] != _MAGIC:
         raise CorruptFileError("bad GMD1 magic")
     if len(data) < 13:

@@ -48,15 +48,6 @@ class MlrModel:
         return softmax_rows(x @ self.w.T + self.b)
 
 
-def softmax(z: Tensor) -> Tensor:
-    """Stable softmax of a logit vector; output sums to 1."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionError(f"softmax expects a rank-1 logit vector, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def softmax_rows(z: Tensor) -> Tensor:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError
 
 # Tensors are plain float64 ndarrays throughout the package.
 Tensor = np.ndarray
@@ -111,26 +111,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def tensor_new(shape, fill: float = 0.0) -> Tensor:
-    """Fresh tensor of the given extents, every element equal to fill."""
-    extents = tuple(shape)
-    for e in extents:
-        if not isinstance(e, (int, np.integer)) or e < 0:
-            raise ArgumentError(f"extents must be non-negative integers, got {extents}")
-    return np.full(extents, float(fill), dtype=np.float64)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product c[i,j] = sum_t a[i,t] * b[t,j]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def glorot_init(rng: Rng, fan_in: int, fan_out: int, shape) -> Tensor:

@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from glyphlab import (
     AffineParams,
     ArgumentError,
+    AugmentPolicy,
+    GrayImage,
     Rng,
     apply_affine,
     augment_batch,
     preset,
+    resize_bilinear,
     sample_affine,
 )
+from glyphlab.dataset import _bilinear
 
 
 class TestPresets:
@@ -126,3 +132,81 @@ class TestAugmentBatch:
         full = augment_batch(imgs, preset("lossy"), seed=11, counter=0)
         head = augment_batch(imgs[:2], preset("lossy"), seed=11, counter=0)
         assert np.array_equal(full[:2], head)
+
+
+def _reference_resize(src, out_w, out_h):
+    """resize_bilinear's sampling before the shared kernel, kept as a reference."""
+    h, w = src.shape
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    x0 = np.floor(xs)
+    y0 = np.floor(ys)
+    fx = xs - x0
+    fy = ys - y0
+    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
+    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
+    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
+    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
+    top = src[y0i][:, x0i] * (1.0 - fx) + src[y0i][:, x1i] * fx
+    bot = src[y1i][:, x0i] * (1.0 - fx) + src[y1i][:, x1i] * fx
+    return xs, ys, top * (1.0 - fy)[:, None] + bot * fy[:, None]
+
+
+def _reference_affine(img, p):
+    """apply_affine before the shared kernel, kept as a reference."""
+    h, w = img.shape
+    cx = (w - 1) / 2.0
+    cy = (h - 1) / 2.0
+    t = math.radians(p.theta)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    shear = np.array([[1.0, -p.shear], [0.0, 1.0]])
+    scale = np.array([[p.zx, 0.0], [0.0, p.zy]])
+    m = rot @ shear @ scale
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dx = xs - cx
+    dy = ys - cy
+    sx = cx + minv[0, 0] * dx + minv[0, 1] * dy + p.tx
+    sy = cy + minv[1, 0] * dx + minv[1, 1] * dy + p.ty
+    if p.hflip:
+        sx = (w - 1) - sx
+    if p.vflip:
+        sy = (h - 1) - sy
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
+    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
+    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
+    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
+    top = img[y0i, x0i] * (1.0 - fx) + img[y0i, x1i] * fx
+    bot = img[y1i, x0i] * (1.0 - fx) + img[y1i, x1i] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+class TestBilinearKernel:
+    """resize_bilinear and apply_affine share one kernel; both must keep
+    the bits of their former separate implementations."""
+
+    def test_resize_bitwise(self):
+        rng = Rng(21)
+        shapes = [(48, 48, 64, 64), (1, 1, 5, 3), (7, 1, 1, 7), (64, 64, 64, 64), (3, 9, 2, 17)]
+        shapes += [tuple(1 + rng.randrange(70) for _ in range(4)) for _ in range(135)]
+        for h, w, out_h, out_w in shapes:
+            px = (rng.uniform_array((h, w)) * 256).astype(np.uint8)
+            xs, ys, want = _reference_resize(px.astype(np.float64), out_w, out_h)
+            got = _bilinear(px.astype(np.float64), xs[None, :], ys[:, None])
+            assert got.tobytes() == want.tobytes(), (h, w, out_h, out_w)
+            out = resize_bilinear(GrayImage(w, h, px), out_w, out_h).pixels
+            assert np.array_equal(out, np.floor(want + 0.5).astype(np.uint8))
+
+    def test_lossy_warp_bitwise(self):
+        rng = Rng(22)
+        policies = [preset("lossy"), AugmentPolicy(hflip=True, vflip=True, rot_max=180.0, zoom_max=0.5)]
+        for k in range(200):
+            h, w = (64, 64) if k < 20 else (1 + rng.randrange(40), 1 + rng.randrange(40))
+            img = rng.uniform_array((h, w))
+            p = sample_affine(policies[k % 2], rng, w, h)
+            assert apply_affine(img, p).tobytes() == _reference_affine(img, p).tobytes(), (k, h, w)

@@ -302,3 +302,120 @@ class TestAugmentPreview:
         rc = main(["augment-preview", "--input", str(shapes_gly), "--policy", "wobble",
                    "--count", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestManifests:
+    """Pins every subcommand's manifest, byte for byte, with relative paths."""
+
+    @staticmethod
+    def _expect(path, subcommand, params, seed, inputs, outputs):
+        body = {"subcommand": subcommand, "params": params, "seed": seed,
+                "inputs": inputs, "outputs": outputs, "version": "0.1.0"}
+        assert open(path, encoding="utf-8").read() == json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+    def test_every_subcommand(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GLYPHLAB_SEED", raising=False)
+        write_pgm_tree(tmp_path / "raw", {"A": {"a.pgm": np.full((3, 4), 9)}, "B": {"b.pgm": np.eye(5) * 200}})
+        for d in ("data", "mlr", "mlr2", "cnn", "cnn2"):
+            (tmp_path / d).mkdir()
+        write_gly(make_shapes_dataset(4, side=32, seed=60, noise=0.1), "data/train.gly")
+        write_gly(make_shapes_dataset(2, side=32, seed=61, noise=0.1), "data/val.gly")
+        expect = self._expect
+
+        assert main(["ingest", "--input", "raw", "--output", "data/ds.gly", "--size", "8"]) == 0
+        expect("data/ds.gly.manifest.json", "ingest",
+               {"input": "raw", "output": "data/ds.gly", "size": 8}, 0, ["raw"], ["data/ds.gly"])
+
+        assert main(["tsne", "--input", "data/train.gly", "--iters", "8", "--perplexity", "2",
+                     "--seed", "5", "--out-csv", "emb/e.csv", "--out-svg", "emb/e.svg"]) == 0
+        expect("emb/e.csv.manifest.json", "tsne",
+               {"input": "data/train.gly", "classes": None, "perplexity": 2.0, "iters": 8,
+                "out_csv": "emb/e.csv", "out_svg": "emb/e.svg"},
+               5, ["data/train.gly"], ["emb/e.csv", "emb/e.svg"])
+        assert not (tmp_path / "emb" / "e.svg.manifest.json").exists()
+
+        # Seed from the environment; two output directories give two manifests.
+        monkeypatch.setenv("GLYPHLAB_SEED", "11")
+        assert main(["tsne", "--input", "data/train.gly", "--classes", "square,disk", "--iters", "8",
+                     "--perplexity", "2", "--out-csv", "a/e.csv", "--out-svg", "b/e.svg"]) == 0
+        for manifest in ("a/e.csv.manifest.json", "b/e.svg.manifest.json"):
+            expect(manifest, "tsne",
+                   {"input": "data/train.gly", "classes": "square,disk", "perplexity": 2.0, "iters": 8,
+                    "out_csv": "a/e.csv", "out_svg": "b/e.svg"},
+                   11, ["data/train.gly"], ["a/e.csv", "b/e.svg"])
+        # A subcommand without --seed records 0 whatever the environment says.
+        assert main(["distmap", "--input", "data/train.gly", "--out-csv", "d/m.csv",
+                     "--out-svg", "d/m.svg"]) == 0
+        expect("d/m.csv.manifest.json", "distmap",
+               {"input": "data/train.gly", "classes": None, "out_csv": "d/m.csv", "out_svg": "d/m.svg"},
+               0, ["data/train.gly"], ["d/m.csv", "d/m.svg"])
+        monkeypatch.delenv("GLYPHLAB_SEED")
+
+        train = ["--train", "data/train.gly", "--val", "data/val.gly"]
+        runs = [
+            ("train-mlr", "mlr", [], {"augment": "none", "epochs": 500, "batch": 1, "lr": 0.1}, 0),
+            ("train-mlr", "mlr2", ["--augment", "lossless", "--epochs", "3", "--batch", "4",
+                                   "--lr", "0.5", "--seed", "2"],
+             {"augment": "lossless", "epochs": 3, "batch": 4, "lr": 0.5}, 2),
+            ("train-cnn", "cnn", ["--epochs", "1"],
+             {"augment": "none", "epochs": 1, "batch": 32, "lr": 0.0001}, 0),
+            ("train-cnn", "cnn2", ["--augment", "lossy", "--epochs", "1", "--batch", "4",
+                                   "--lr", "0.001", "--seed", "3"],
+             {"augment": "lossy", "epochs": 1, "batch": 4, "lr": 0.001}, 3),
+        ]
+        for command, d, flags, resolved, seed in runs:
+            outs = [f"{d}/m.gmd", f"{d}/h.csv"]
+            assert main([command] + train + flags + ["--model-out", outs[0], "--history-out", outs[1]]) == 0
+            expect(f"{d}/m.gmd.manifest.json", command,
+                   dict(train="data/train.gly", val="data/val.gly", model_out=outs[0],
+                        history_out=outs[1], **resolved),
+                   seed, ["data/train.gly", "data/val.gly"], outs)
+
+        assert main(["evaluate", "--model", "cnn/m.gmd", "--data", "data/val.gly",
+                     "--out-csv", "ev/e.csv", "--roc-svg", "ev/r.svg"]) == 0
+        expect("ev/e.csv.manifest.json", "evaluate",
+               {"model": "cnn/m.gmd", "data": "data/val.gly", "out_csv": "ev/e.csv", "roc_svg": "ev/r.svg"},
+               0, ["cnn/m.gmd", "data/val.gly"], ["ev/e.csv", "ev/r.svg"])
+
+        assert main(["augment-preview", "--input", "data/val.gly", "--policy", "lossless",
+                     "--count", "2", "--out", "prev"]) == 0
+        expect("prev/00000_00.pgm.manifest.json", "augment-preview",
+               {"input": "data/val.gly", "policy": "lossless", "count": 2, "out": "prev"},
+               0, ["data/val.gly"], [f"prev/{i:05d}_{k:02d}.pgm" for k in range(2) for i in range(4)])
+
+
+class TestArgumentChecks:
+    def test_tsne_zero_iters_exit_2_before_writing(self, tmp_path, shapes_gly):
+        rc = main(["tsne", "--input", str(shapes_gly), "--iters", "0",
+                   "--out-csv", str(tmp_path / "o" / "e.csv"), "--out-svg", str(tmp_path / "o" / "e.svg")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_ingest_bad_size_exit_2(self, tmp_path, size):
+        (tmp_path / "raw" / "A").mkdir(parents=True)
+        rc = main(["ingest", "--input", str(tmp_path / "raw"), "--output", str(tmp_path / "x.gly"),
+                   "--size", size])
+        assert rc == 2
+        assert not (tmp_path / "x.gly").exists()
+
+
+class TestOutputDirectories:
+    """Every output, binary or text, creates its missing parent directory."""
+
+    def test_ingest_output(self, tmp_path):
+        write_pgm_tree(tmp_path / "raw", {"A": {"a.pgm": np.full((3, 3), 40)}})
+        out = tmp_path / "new" / "x.gly"
+        assert main(["ingest", "--input", str(tmp_path / "raw"), "--output", str(out), "--size", "4"]) == 0
+        assert read_gly(out).n == 1
+
+    @pytest.mark.parametrize("kind", ["mlr", "cnn"])
+    def test_train_model_out(self, tmp_path, shapes_gly, shapes_val_gly, kind):
+        model = tmp_path / "new" / "m.gmd"
+        rc = main([f"train-{kind}", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+                   "--epochs", "1", "--batch", "8", "--model-out", str(model),
+                   "--history-out", str(tmp_path / "h" / "h.csv")])
+        assert rc == 0
+        assert model.is_file()
+        assert (tmp_path / "new" / "m.gmd.manifest.json").is_file()

@@ -17,28 +17,9 @@ from glyphlab import (
     reference_cnn,
     rmsprop_init,
     rmsprop_step,
-    softmax,
 )
 from glyphlab.models.cnn import _bce_grad
 from glyphlab.models.mlr import softmax_rows
-
-
-class TestSoftmax:
-    def test_uniform_from_equal_logits(self):
-        assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3)
-
-    def test_shift_invariance(self):
-        z = Rng(1).uniform_array(5, -3, 3)
-        assert np.allclose(softmax(z), softmax(z + 17.5), atol=1e-15)
-
-    def test_hand_values(self):
-        out = softmax(np.array([0.0, math.log(2.0)]))
-        assert np.allclose(out, [1 / 3, 2 / 3])
-
-    def test_sums_to_one_tightly(self):
-        for seed in range(20):
-            p = softmax(Rng(seed).uniform_array(7, -50, 50))
-            assert abs(p.sum() - 1.0) < 1e-12
 
 
 class TestBceLoss:
