@@ -121,9 +121,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_tsne(args) -> int:
-    if args.iters < 1:
-        raise ArgumentError(f"iters must be >= 1, got {args.iters}")
-    ds = _parse_classes(_load_dataset(args.input), args.classes)
     cfg = TsneConfig(
         out_dims=3,
         perplexity=args.perplexity,
@@ -131,6 +128,7 @@ def cmd_tsne(args) -> int:
         exaggeration_iters=min(250, args.iters // 4),
         seed=args.seed,
     )
+    ds = _parse_classes(_load_dataset(args.input), args.classes)
     emb = tsne(ds.images.reshape(ds.n, -1), cfg)
 
     rows = ["x,y,z,label,class_name"]

@@ -8,10 +8,23 @@ conditional, and the low-dimensional affinities Q follow a Student-t
 with one degree of freedom. Optimization is plain gradient descent with
 momentum, early exaggeration of P, and a per-iteration KL record.
 
-Each iterate builds one Q: the KL recorded after a step is taken at
-exactly the y that the next step differentiates, so the descent passes
-that step's (Q, W) to both kl_divergence and the next kl_gradient, and
-a run of k iterations builds k + 1 Qs instead of 2k.
+P, W and Q are symmetric, so the iterate visits each unordered pair
+once. It walks the rows in fixed blocks of _BLOCK: block s:e holds the
+Student-t weights W[s:e, s:] with the diagonal and strict lower triangle
+of its leading square set to zero, which leaves the strict upper
+triangle. Z is twice the blocks' total; the gradient adds each block's
+(P - Q) W terms to both of its rows and its columns; the KL is twice the
+blocks' sum; exaggeration scales each block of P as it is read. Only P
+and the blocks (about n^2 / 2 weights) are n x n in size. _BLOCK is a
+constant, never taken from the machine, because the sums run in block
+order and their bits must not depend on where the run happens; the
+blocked sums changed the descent's last bits once, against the earlier
+full-matrix iterate.
+
+Each iterate builds one set of blocks: the KL recorded after a step is
+taken at exactly the y that the next step differentiates, so the descent
+passes that step's blocks to both kl_divergence and the next
+kl_gradient, and a run of k iterations builds k + 1 sets instead of 2k.
 """
 
 from __future__ import annotations
@@ -27,6 +40,10 @@ from .numerics import Rng, Tensor, derive_seed
 _P_FLOOR = 1e-12
 _SIGMA_LO = 1e-20
 _SIGMA_HI = 1e20
+_TINY = 5e-324  # least positive float64: log of it is finite, so p = 0 adds 0 * finite
+_BLOCK = 64  # rows per block of the tSNE iterate; of 32-256, 64 was among the fastest at n = 800 and 2000
+_LOWER = np.tril(np.ones((_BLOCK, _BLOCK), dtype=bool))  # diagonal and below, per leading square
+_GRAM_ROWS = 8  # pairwise_euclidean pads its Gram product to a multiple of this many rows
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,10 @@ class TsneConfig:
             raise ArgumentError(f"out_dims must be >= 1, got {self.out_dims}")
         if self.perplexity < 1.0:
             raise ArgumentError(f"perplexity must be >= 1, got {self.perplexity}")
+        if self.iters < 1:
+            raise ArgumentError(f"iters must be >= 1, got {self.iters}")
+        if self.exaggeration_iters < 0:
+            raise ArgumentError(f"exaggeration_iters must be >= 0, got {self.exaggeration_iters}")
         if self.iters < self.exaggeration_iters:
             raise ArgumentError("iters must be >= exaggeration_iters")
 
@@ -115,8 +136,17 @@ def pairwise_euclidean(x: Tensor) -> DistanceMatrix:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ArgumentError(f"need a rank-2 array with n >= 2 rows, got shape {x.shape}")
+    # OpenBLAS splits the Gram product's rows among its threads, and a
+    # split inside a kernel tile sends rows through edge kernels that
+    # round differently, so at n = 150 the bits followed the thread
+    # count. The product padded with zero rows gave the same bits under
+    # 1-4 threads at every n tried; at a multiple of _GRAM_ROWS nothing
+    # is padded, so those results are as before.
+    n = x.shape[0]
+    pad = -n % _GRAM_ROWS
+    xp = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (xp @ xp.T)[:n, :n]
     np.maximum(d2, 0.0, out=d2)
     d = np.sqrt(d2)
     d = 0.5 * (d + d.T)  # kill rounding asymmetry from the Gram product
@@ -143,12 +173,22 @@ def calibrate_row(distances_row: Tensor, perplexity: float) -> tuple[float, Tens
         return 1.0, np.full(row.size, 1.0 / row.size)
 
     target = math.log2(perplexity)
+    # Dividing by c > 0 keeps the order of the row, so max(neg / c) is
+    # top / c bit for bit and the shift needs no pass of its own.
+    neg = -d2
+    top = neg.max()
+    plogp = np.empty_like(d2)
 
     def entropy_bits(sigma: float) -> tuple[float, Tensor]:
-        logits = -d2 / (2.0 * sigma * sigma)
-        logits -= logits.max()
-        p = np.exp(logits)
+        c = 2.0 * sigma * sigma
+        p = neg / c
+        p -= top / c
+        np.exp(p, out=p)
         p /= p.sum()
+        if p.min() > 0.0:
+            np.log2(p, out=plogp)
+            np.multiply(plogp, p, out=plogp)
+            return float(-plogp.sum()), p
         nz = p[p > 0.0]
         return float(-(nz * np.log2(nz)).sum()), p
 
@@ -181,45 +221,77 @@ def _joint_p(x: Tensor, perplexity: float) -> Tensor:
     return p
 
 
-def _student_q(y: Tensor) -> tuple[Tensor, Tensor]:
-    """Normalized t-affinities Q and the unnormalized weights W."""
+def _row_blocks(n: int):
+    """The (start, end) row ranges of the blocked tSNE iterate."""
+    for s in range(0, n, _BLOCK):
+        yield s, min(s + _BLOCK, n)
+
+
+def _student_q(y: Tensor) -> tuple[list, float]:
+    """Unnormalized Student-t weights over the upper triangle, and Z.
+
+    Returns (blocks, z): blocks[k] is W[s:e, s:] for the k-th row range
+    of _row_blocks, with the diagonal and the strict lower triangle of
+    its leading square zeroed, and z = sum(W) over all ordered pairs, so
+    Q = W / z.
+    """
     sq = np.sum(y * y, axis=1)
-    w = sq[:, None] + sq[None, :]
-    gram = y @ y.T
-    gram *= 2.0
-    w -= gram  # squared distances, in the same order of operations as a + b - 2g
-    np.maximum(w, 0.0, out=w)
-    w += 1.0
-    np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
-    np.divide(w, w.sum(), out=gram)
-    return gram, w
+    blocks = []
+    total = 0.0
+    for s, e in _row_blocks(len(y)):
+        w = sq[s:e, None] + sq[None, s:]
+        gram = y[s:e] @ y[s:].T
+        gram *= 2.0
+        w -= gram  # squared distances, in the same order of operations as a + b - 2g
+        np.maximum(w, 0.0, out=w)
+        w += 1.0
+        np.divide(1.0, w, out=w)
+        w[:, : e - s][_LOWER[: e - s, : e - s]] = 0.0
+        total += float(w.sum())
+        blocks.append(w)
+    return blocks, 2.0 * total
 
 
 def kl_divergence(p: Tensor, y: Tensor, *, affinities=None) -> float:
     """KL(P || Q(y)) over off-diagonal pairs, the tSNE objective.
 
-    affinities, when given, is _student_q(y), already built by the caller.
+    P must be symmetric; pairs with p = 0 add nothing. affinities, when
+    given, is _student_q(y), already built by the caller.
     """
-    q, _ = _student_q(y) if affinities is None else affinities
-    mask = p > 0.0
-    pm = p[mask]
-    qm = q[mask]
-    np.maximum(qm, _P_FLOOR, out=qm)
-    np.divide(pm, qm, out=qm)
-    np.log(qm, out=qm)
-    qm *= pm
-    return float(np.sum(qm))
+    blocks, z = _student_q(y) if affinities is None else affinities
+    total = 0.0
+    for (s, e), w in zip(_row_blocks(len(p)), blocks):
+        pb = p[s:e, s:]
+        ratio = w / z
+        np.maximum(ratio, _P_FLOOR, out=ratio)
+        np.divide(pb, ratio, out=ratio)
+        ratio[:, : e - s][_LOWER[: e - s, : e - s]] = 1.0  # log 1 = 0: pairs counted elsewhere
+        np.maximum(ratio, _TINY, out=ratio)
+        np.log(ratio, out=ratio)
+        ratio *= pb
+        total += float(ratio.sum())
+    return 2.0 * total
 
 
-def kl_gradient(p: Tensor, y: Tensor, *, affinities=None) -> Tensor:
+def kl_gradient(p: Tensor, y: Tensor, *, affinities=None, exaggeration: float = 1.0) -> Tensor:
     """Analytic objective gradient: 4 sum_j (p-q)(y_i-y_j)/(1+||.||^2).
 
+    P must be symmetric and is scaled by exaggeration as it is read.
     affinities, when given, is _student_q(y), already built by the caller.
     """
-    q, w = _student_q(y) if affinities is None else affinities
-    a = (p - q) * w
-    return 4.0 * (a.sum(axis=1)[:, None] * y - a @ y)
+    blocks, z = _student_q(y) if affinities is None else affinities
+    n = len(p)
+    row_sums = np.zeros(n)
+    ay = np.zeros_like(y)
+    for (s, e), w in zip(_row_blocks(n), blocks):
+        a = p[s:e, s:] * exaggeration
+        a -= w / z
+        a *= w
+        row_sums[s:e] += a.sum(axis=1)
+        row_sums[s:] += a.sum(axis=0)
+        ay[s:e] += a @ y[s:]
+        ay[s:] += a.T @ y[s:e]
+    return 4.0 * (row_sums[:, None] * y - ay)
 
 
 def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
@@ -244,14 +316,13 @@ def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
     rng = Rng(derive_seed(cfg.seed, 0x54534E45))  # stream tag: tsne init
     y = rng.normal_array((n, cfg.out_dims), 0.0, 1e-4)
     velocity = np.zeros_like(y)
-    p_exaggerated = p * cfg.exaggeration
 
     kl_history = np.empty(cfg.iters)
     affinities = _student_q(y)
     for it in range(cfg.iters):
         exaggerating = it < cfg.exaggeration_iters
-        p_eff = p_exaggerated if exaggerating else p
-        grad = kl_gradient(p_eff, y, affinities=affinities)
+        grad = kl_gradient(p, y, affinities=affinities,
+                           exaggeration=cfg.exaggeration if exaggerating else 1.0)
         momentum = cfg.momentum_early if exaggerating else cfg.momentum_late
         velocity = momentum * velocity - eta * grad
         y = y + velocity

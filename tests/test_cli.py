@@ -2,10 +2,15 @@
 determinism of the outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glyphlab
 from conftest import make_shapes_dataset
 from glyphlab import read_gly, write_gly
 from glyphlab.cli import main
@@ -136,6 +141,27 @@ class TestTsne:
         main(["tsne", "--input", str(shapes_gly), "--iters", "30", "--seed", "77",
               "--out-csv", str(csv2), "--out-svg", str(tmp_path / "e2.svg")])
         assert csv1.read_bytes() == csv2.read_bytes()
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # 150 points are three tSNE row blocks; each run is a fresh
+        # process because OpenBLAS reads its thread count at load time.
+        gly = tmp_path / "shapes.gly"
+        write_gly(make_shapes_dataset(75, side=16, seed=52, noise=0.1), gly)
+        src = str(Path(glyphlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            csv = tmp_path / f"t{threads}.csv"
+            path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+            env.pop("OMP_NUM_THREADS", None)
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from glyphlab.cli import main; sys.exit(main())",
+                 "tsne", "--input", str(gly), "--iters", "60", "--perplexity", "20", "--seed", "3",
+                 "--out-csv", str(csv), "--out-svg", str(tmp_path / f"t{threads}.svg")],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(csv.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDistmap:

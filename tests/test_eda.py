@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from glyphlab import (
     pairwise_euclidean,
     tsne,
 )
-from glyphlab.eda import _joint_p, _student_q
+from glyphlab.eda import _BLOCK, _joint_p, _row_blocks, _student_q
 from glyphlab.numerics import derive_seed
 
 
@@ -44,6 +46,47 @@ def brute_force_upgma(d):
         active.sort()
         nxt += 1
     return merges
+
+
+def reference_calibrate_row(row, perplexity):
+    """calibrate_row as a fresh shift, exp and gather per bisection step."""
+    row = np.asarray(row, dtype=np.float64)
+    d2 = row * row
+    if d2.max() == 0.0:
+        return 1.0, np.full(row.size, 1.0 / row.size)
+    target = math.log2(perplexity)
+
+    def entropy_bits(sigma):
+        logits = -d2 / (2.0 * sigma * sigma)
+        logits -= logits.max()
+        p = np.exp(logits)
+        p /= p.sum()
+        nz = p[p > 0.0]
+        return float(-(nz * np.log2(nz)).sum()), p
+
+    lo, hi = 1e-20, 1e20
+    sigma = 1.0
+    h, p = entropy_bits(sigma)
+    for _ in range(64):
+        if abs(2.0 ** h - perplexity) <= 1e-5 * perplexity:
+            break
+        if h > target:
+            hi = sigma
+        else:
+            lo = sigma
+        sigma = math.sqrt(lo * hi)
+        h, p = entropy_bits(sigma)
+    return sigma, p
+
+
+def full_w(y):
+    """The n x n W reassembled from _student_q's upper-triangle blocks."""
+    n = len(y)
+    blocks, z = _student_q(y)
+    w = np.zeros((n, n))
+    for (s, e), block in zip(_row_blocks(n), blocks):
+        w[s:e, s:] = block
+    return w + w.T, z
 
 
 def reference_q(y):
@@ -129,6 +172,23 @@ class TestCalibrateRow:
         _, p = calibrate_row(np.zeros(4), 2.0)
         assert np.allclose(p, 0.25)
 
+    def test_matches_reference_bitwise(self):
+        rng = Rng(5)
+        cases = [(np.full(7, 3.5), 4.0), (np.array([0.01, 5.0, 5.0, 5.0]), 1.0000001),
+                 (np.zeros(4), 2.0)]
+        cases += [(rng.uniform_array(30, 0.1, 4.0), 1.5 + rng.uniform() * 8.0) for _ in range(20)]
+        d = pairwise_euclidean(rng.uniform_array((60, 5), -2, 2)).d
+        cases += [(np.delete(d[i], i), 12.0) for i in range(60)]
+        # exp underflows to 0 at the first sigma, so the entropy takes the gather path
+        underflow = np.array([0.01, 0.02, 50.0, 60.0, 70.0])
+        assert np.exp(-underflow[-1] ** 2 / 2.0) == 0.0
+        cases.append((underflow, 1.5))
+        for row, perplexity in cases:
+            sigma, p = calibrate_row(row, perplexity)
+            want_sigma, want_p = reference_calibrate_row(row, perplexity)
+            assert sigma == want_sigma
+            assert p.tobytes() == want_p.tobytes()
+
 
 class TestTsne:
     def test_kl_decreases_from_random_init(self):
@@ -146,8 +206,9 @@ class TestTsne:
         assert np.array_equal(a.kl_history, b.kl_history)
 
     def test_q_matrix_sums_to_one(self):
-        q, _ = _student_q(Rng(7).uniform_array((15, 3)))
-        assert abs(q.sum() - 1.0) < 1e-9
+        for n in (15, 150):
+            w, z = full_w(Rng(7).uniform_array((n, 3)))
+            assert abs((w / z).sum() - 1.0) < 1e-9
 
     def test_two_point_gradient_vanishes(self):
         p = _joint_p(np.array([[0.0, 0.0], [1.0, 1.0]]), 1.0)
@@ -178,18 +239,67 @@ class TestTsne:
             else:
                 assert abs(a - fd) < 1e-10
 
-    def test_one_q_per_iterate_is_bitwise_the_two_q_descent(self):
-        x = Rng(31).uniform_array((40, 7), -1, 1)
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_blocked_descent_matches_the_two_q_descent(self, n):
+        # n = 150 is three row blocks, the last one partial. Block-order
+        # sums move the last bits, and the descent amplifies them to
+        # about 2e-11 in y and 2e-13 in the KL over these 60 iterations.
+        assert n <= _BLOCK or n % _BLOCK
+        x = Rng(31).uniform_array((n, 7), -1, 1)
         cfg = TsneConfig(perplexity=8.0, iters=60, exaggeration_iters=25, seed=4)
         emb = tsne(x, cfg)
         y, kl_history = reference_tsne(x, cfg)
-        assert emb.y.tobytes() == y.tobytes()
-        assert emb.kl_history.tobytes() == kl_history.tobytes()
+        assert np.abs(emb.y - y).max() <= 1e-10 * np.abs(y).max()
+        assert np.abs(emb.kl_history - kl_history).max() <= 1e-10 * np.abs(kl_history).min()
 
-    def test_student_q_matches_reference_bitwise(self):
-        y = Rng(32).uniform_array((30, 3), -3, 3)
-        for got, want in zip(_student_q(y), reference_q(y)):
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [30, 150])
+    def test_student_q_blocks_reassemble_to_reference_w(self, n):
+        # Each block's Gram product y[s:e] @ y[s:].T may round differently
+        # from the full y @ y.T; at n = 150 that moves W and Q by about
+        # 1e-15 of their maxima (4.5 ulp), and Z by 2e-16.
+        y = Rng(32).uniform_array((n, 3), -3, 3)
+        w, z = full_w(y)
+        want_q, want_w = reference_q(y)
+        assert np.abs(w - want_w).max() <= 4e-15 * want_w.max()
+        assert abs(z - want_w.sum()) <= 1e-15 * want_w.sum()
+        assert np.abs(w / z - want_q).max() <= 4e-15 * want_q.max()
+
+    def test_gradient_matches_finite_differences_across_blocks(self):
+        rng = Rng(12)
+        x = rng.uniform_array((70, 5), -2, 2)
+        p = _joint_p(x, 10.0)
+        y = rng.uniform_array((70, 2), -3, 3)
+        grad = kl_gradient(p, y)
+        eps = 1e-6
+        flat = y.reshape(-1)
+        fd = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = kl_divergence(p, y)
+            flat[i] = orig - eps
+            down = kl_divergence(p, y)
+            flat[i] = orig
+            fd[i] = (up - down) / (2 * eps)
+        assert np.abs(grad.reshape(-1) - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_exaggeration_scales_p_in_the_gradient(self):
+        rng = Rng(34)
+        p = _joint_p(rng.uniform_array((90, 4), -2, 2), 10.0)
+        y = rng.uniform_array((90, 3), -1, 1)
+        got = kl_gradient(p, y, exaggeration=12.0)
+        want = kl_gradient(p * 12.0, y)
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_p_pairs_add_nothing_to_the_kl(self):
+        rng = Rng(35)
+        p = _joint_p(rng.uniform_array((80, 4), -2, 2), 10.0)
+        p[3, 70] = p[70, 3] = 0.0
+        y = rng.uniform_array((80, 3), -1, 1)
+        q, _ = reference_q(y)
+        mask = p > 0.0
+        want = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-12))))
+        assert kl_divergence(p, y) == pytest.approx(want, rel=1e-12)
 
     def test_passed_affinities_give_the_same_bits(self):
         rng = Rng(33)
@@ -213,6 +323,15 @@ class TestTsne:
     def test_needs_four_points(self):
         with pytest.raises(ArgumentError):
             tsne(np.zeros((3, 2)), TsneConfig())
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_config_rejects_iters_below_one(self, iters):
+        with pytest.raises(ArgumentError, match="iters must be >= 1"):
+            TsneConfig(iters=iters, exaggeration_iters=iters)
+
+    def test_config_rejects_negative_exaggeration_iters(self):
+        with pytest.raises(ArgumentError, match="exaggeration_iters must be >= 0"):
+            TsneConfig(iters=10, exaggeration_iters=-1)
 
 
 class TestHclusterAverage:
