@@ -159,7 +159,7 @@ def cmd_distmap(args) -> int:
 
     rows = ["id," + ",".join(str(p) for p in perm)]
     for i in range(dm.n):
-        rows.append(f"{perm[i]}," + ",".join(_f(v) for v in reordered[i]))
+        rows.append(f"{perm[i]}," + ",".join(map(repr, reordered[i].tolist())))
     _write_text(args.out_csv, "\n".join(rows) + "\n")
     _write_text(
         args.out_svg,

@@ -59,7 +59,8 @@ class DistanceMatrix:
             raise ArgumentError(f"distance matrix must be {self.n}x{self.n}, got {d.shape}")
         if not np.isfinite(d).all() or (d < 0).any():
             raise ArgumentError("distances must be finite and non-negative")
-        if np.abs(d - d.T).max(initial=0.0) > 1e-12:
+        asym = d - d.T
+        if np.abs(asym, out=asym).max(initial=0.0) > 1e-12:
             raise ArgumentError("distance matrix must be symmetric within 1e-12")
         if d.size and np.abs(np.diag(d)).max() != 0.0:
             raise ArgumentError("distance matrix diagonal must be zero")
@@ -146,10 +147,15 @@ def pairwise_euclidean(x: Tensor) -> DistanceMatrix:
     pad = -n % _GRAM_ROWS
     xp = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (xp @ xp.T)[:n, :n]
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)  # kill rounding asymmetry from the Gram product
+    gram = (xp @ xp.T)[:n, :n]
+    gram *= 2.0
+    d = sq[:, None] + sq[None, :]
+    d -= gram
+    del gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    d = d + d.T  # kill rounding asymmetry from the Gram product
+    d *= 0.5
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(x.shape[0], d)
 
@@ -211,12 +217,16 @@ def _joint_p(x: Tensor, perplexity: float) -> Tensor:
     n = x.shape[0]
     d = pairwise_euclidean(x).d
     cond = np.zeros((n, n))
-    mask = ~np.eye(n, dtype=bool)
     for i in range(n):
-        _, p_row = calibrate_row(d[i][mask[i]], perplexity)
-        cond[i][mask[i]] = p_row
-    p = (cond + cond.T) / (2.0 * n)
-    p = np.maximum(p, _P_FLOOR)
+        _, p_row = calibrate_row(np.concatenate((d[i, :i], d[i, i + 1 :])), perplexity)
+        cond[i, :i] = p_row[:i]
+        cond[i, i + 1 :] = p_row[i:]
+    del d
+    # In place from here, so at most two n x n arrays are alive at once.
+    p = cond + cond.T
+    del cond
+    p /= 2.0 * n
+    np.maximum(p, _P_FLOOR, out=p)
     np.fill_diagonal(p, 0.0)
     return p
 

@@ -32,6 +32,9 @@ class CnnModel:
     def __init__(self, layers: list[Layer], class_names=("0", "1")):
         self.layers = list(layers)
         self.class_names = tuple(class_names)
+        if self.layers and isinstance(self.layers[0], Conv2d):
+            # backward discards the images' gradient, so it is never built
+            self.layers[0].input_grad = False
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:

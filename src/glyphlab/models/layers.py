@@ -7,13 +7,20 @@ gradients on the layer, and returns the gradient with respect to its
 input (Relu writes it over grad_out).
 
 Convolutions are 3x3 cross-correlations with same-size zero padding,
-evaluated as one matrix product over unrolled patches; the input
-gradient is the matching patch-gradient scatter (col2im). The patches,
-their gradients and the forward product live in per-layer buffers keyed
-by shape, which spares re-faulting their pages on every call (the
-32->32 layer's patches are 72 MiB at batch 32). A convolution's output
-and cache are therefore only valid until its next forward: run backward
-first, as every trainer does.
+evaluated as one matrix product over unrolled patches (im2col); the
+input gradient is the matching patch-gradient scatter (col2im). Both
+move the taps through clipped slices, so no padded copy of the input or
+of its gradient is ever made: the border taps of the patch buffer are
+zeroed once, when it is allocated, and never written. A convolution
+whose input needs no gradient (the network's first) has input_grad set
+to False and skips the patch-gradient product and the scatter.
+
+Large arrays live in per-layer buffers keyed by shape, which spares
+re-faulting their pages on every call (the 32->32 layer's patches are
+72 MiB at batch 32): a convolution's patches, product and patch
+gradients, the ReLU output and the max-pool input gradient. An array a
+layer returns is therefore only valid until that layer's next forward or
+backward: consume it first, as every trainer does.
 """
 
 from __future__ import annotations
@@ -24,11 +31,20 @@ from ..errors import DimensionError
 from ..numerics import Tensor
 
 
-def _pooled(store: dict, name: str, shape) -> np.ndarray:
+def _pooled(store: dict, name: str, shape, alloc=np.empty) -> np.ndarray:
     buf = store.get(name)
     if buf is None or buf.shape != shape:
-        buf = store[name] = np.empty(shape)
+        buf = store[name] = alloc(shape)
     return buf
+
+
+def _shifts(extent: int):
+    """For each tap offset d - 1 (d = 0, 1, 2) of a 3x3 window along one
+    axis: the output slice whose inputs lie inside the grid, and the
+    input slice it reads."""
+    for d in range(3):
+        lo, hi = max(0, 1 - d), min(extent, extent + 1 - d)
+        yield d, slice(lo, hi), slice(lo + d - 1, hi + d - 1)
 
 
 class Layer:
@@ -52,6 +68,10 @@ class Conv2d(Layer):
     out[b, i, j, o] = bias[o]
         + sum_{c, di, dj} weights[o, c, di, dj] * x[b, i+di-1, j+dj-1, c]
     with out-of-range x reading as 0.
+
+    With input_grad False, backward accumulates the parameter gradients
+    only and returns a read-only all-NaN array of the input's shape in
+    place of the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -63,6 +83,7 @@ class Conv2d(Layer):
         self.grad_bias = np.zeros_like(self.bias)
         self.params = [self.weights, self.bias]
         self.grads = [self.grad_weights, self.grad_bias]
+        self.input_grad = True
         self._pool: dict = {}
         self._cols = None
         self._in_shape = None
@@ -79,12 +100,11 @@ class Conv2d(Layer):
         n, h, w, c = x.shape
         self._in_shape = x.shape
 
-        pad = np.zeros((n, h + 2, w + 2, c))
-        pad[:, 1:-1, 1:-1, :] = x
-        cols = _pooled(self._pool, "cols", (n, h, w, 3, 3, c))
-        for di in range(3):
-            for dj in range(3):
-                cols[:, :, :, di, dj, :] = pad[:, di : di + h, dj : dj + w, :]
+        # Taps that fall outside the grid keep the zeros of the allocation.
+        cols = _pooled(self._pool, "cols", (n, h, w, 3, 3, c), np.zeros)
+        for di, oi, xi in _shifts(h):
+            for dj, oj, xj in _shifts(w):
+                cols[:, oi, oj, di, dj, :] = x[:, xi, xj, :]
         self._cols = cols.reshape(n * h * w, 9 * c)
 
         out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
@@ -100,17 +120,20 @@ class Conv2d(Layer):
         gw = (self._cols.T @ g).reshape(3, 3, self.in_channels, self.out_channels)
         self.grad_weights += gw.transpose(3, 2, 0, 1)
         self.grad_bias += g.sum(axis=0)
+        self._cols = None
+        if not self.input_grad:
+            return np.broadcast_to(np.nan, self._in_shape)
 
-        # Patch gradients, then scatter-add them back onto the padded grid.
+        # Patch gradients, then scatter-add the in-grid taps onto +0.0 in
+        # tap order; a fresh gx keeps the peak RSS below a pooled one.
         gcols = _pooled(self._pool, "gcols", (n * h * w, 9 * c))
         np.matmul(g, self._wmat().T, out=gcols)
         g6 = gcols.reshape(n, h, w, 3, 3, c)
-        gpad = np.zeros((n, h + 2, w + 2, c))
-        for di in range(3):
-            for dj in range(3):
-                gpad[:, di : di + h, dj : dj + w, :] += g6[:, :, :, di, dj, :]
-        self._cols = None
-        return gpad[:, 1:-1, 1:-1, :]
+        gx = np.zeros((n, h, w, c))
+        for di, oi, xi in _shifts(h):
+            for dj, oj, xj in _shifts(w):
+                gx[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
+        return gx
 
 
 class MaxPool2x2(Layer):
@@ -119,6 +142,7 @@ class MaxPool2x2(Layer):
     every other input gets an exact +0.0."""
 
     def __init__(self):
+        self._pool: dict = {}
         self._x = None
         self._out = None
 
@@ -140,18 +164,22 @@ class MaxPool2x2(Layer):
             raise DimensionError(f"pool gradient shape {grad_out.shape} does not match forward")
         n, h, w, c = self._x.shape
         taps = self._x.reshape(n, h // 2, 2, w // 2, 2, c)
-        gx = np.empty((n, h, w, c))
+        gx = _pooled(self._pool, "gx", (n, h, w, c))
         gtaps = gx.reshape(taps.shape)
         # In row-major tap order, a tap takes the gradient where it holds the
         # max (or a NaN) and no earlier tap took it; the last tap takes the
         # rest. Bit patterns times 0 or 1 write exact +0.0 everywhere else.
+        # A NaN tap makes its window's max NaN, so without a NaN in out no
+        # tap needs the NaN test.
         gbits = np.asarray(grad_out, dtype=np.float64).view(np.int64)
+        has_nan = bool(np.isnan(out).any())
         take = np.empty(out.shape, dtype=bool)
         left = np.ones(out.shape, dtype=bool)
         for di, dj in ((0, 0), (0, 1), (1, 0)):
             tap = taps[:, :, di, :, dj]
             np.equal(tap, out, out=take)
-            take |= np.isnan(tap)
+            if has_nan:
+                take |= np.isnan(tap)
             take &= left
             left ^= take
             np.multiply(gbits, take, out=gtaps[:, :, di, :, dj].view(np.int64))
@@ -161,10 +189,11 @@ class MaxPool2x2(Layer):
 
 class Relu(Layer):
     def __init__(self):
+        self._pool: dict = {}
         self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
-        self._out = np.maximum(x, 0.0)
+        self._out = np.maximum(x, 0.0, out=_pooled(self._pool, "out", x.shape))
         return self._out
 
     def backward(self, grad_out: Tensor) -> Tensor:

@@ -16,6 +16,19 @@ from glyphlab import read_gly, write_gly
 from glyphlab.cli import main
 
 
+def run_cli_with_blas_threads(threads, *argv):
+    """Run the CLI in a fresh process, since OpenBLAS reads its thread
+    count when it loads."""
+    src = str(Path(glyphlab.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+    env.pop("OMP_NUM_THREADS", None)
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from glyphlab.cli import main; sys.exit(main())", *argv],
+        env=env, check=True, timeout=120,
+    )
+
+
 def write_pgm_tree(root, spec):
     from glyphlab import GrayImage, write_pgm
 
@@ -143,22 +156,15 @@ class TestTsne:
         assert csv1.read_bytes() == csv2.read_bytes()
 
     def test_byte_identical_across_blas_thread_counts(self, tmp_path):
-        # 150 points are three tSNE row blocks; each run is a fresh
-        # process because OpenBLAS reads its thread count at load time.
+        # 150 points are three tSNE row blocks.
         gly = tmp_path / "shapes.gly"
         write_gly(make_shapes_dataset(75, side=16, seed=52, noise=0.1), gly)
-        src = str(Path(glyphlab.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             csv = tmp_path / f"t{threads}.csv"
-            path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
-            env.pop("OMP_NUM_THREADS", None)
-            subprocess.run(
-                [sys.executable, "-c", "import sys; from glyphlab.cli import main; sys.exit(main())",
-                 "tsne", "--input", str(gly), "--iters", "60", "--perplexity", "20", "--seed", "3",
-                 "--out-csv", str(csv), "--out-svg", str(tmp_path / f"t{threads}.svg")],
-                env=env, check=True, timeout=120,
+            run_cli_with_blas_threads(
+                threads, "tsne", "--input", str(gly), "--iters", "60", "--perplexity", "20",
+                "--seed", "3", "--out-csv", str(csv), "--out-svg", str(tmp_path / f"t{threads}.svg"),
             )
             outputs.append(csv.read_bytes())
         assert outputs[0] == outputs[1]
@@ -268,6 +274,26 @@ class TestTrainCommands:
             outs.append((d / "m.gmd").read_bytes())
         assert outs[0] == outs[2]
         assert outs[1] == outs[3]
+
+    @pytest.mark.parametrize("kind", ["cnn", "mlr"])
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):
+        # 30 training images (CNN batches of 13, 13 and 4; the MLR takes
+        # all 30 at once) and 10 for validation: no batch or half batch is
+        # a multiple of 8.
+        train, val = tmp_path / "train.gly", tmp_path / "val.gly"
+        write_gly(make_shapes_dataset(15, side=32, seed=61, noise=0.1), train)
+        write_gly(make_shapes_dataset(5, side=32, seed=62, noise=0.1), val)
+        epochs = "1" if kind == "cnn" else "20"
+        outputs = []
+        for threads in ("1", "2"):
+            model, hist = tmp_path / f"m{threads}.gmd", tmp_path / f"h{threads}.csv"
+            run_cli_with_blas_threads(
+                threads, f"train-{kind}", "--train", str(train), "--val", str(val),
+                "--augment", "lossy", "--epochs", epochs, "--batch", "13", "--seed", "8",
+                "--model-out", str(model), "--history-out", str(hist),
+            )
+            outputs.append((model.read_bytes(), hist.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestEvaluateErrors:

@@ -4,7 +4,8 @@ forward contracts."""
 import numpy as np
 import pytest
 
-from glyphlab import DimensionError, Rng
+from glyphlab import DimensionError, Rng, reference_cnn
+from glyphlab.models.cnn import _bce_grad
 from glyphlab.models.layers import Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
 EPS = 1e-6
@@ -60,6 +61,53 @@ def naive_pool(x, g):
                     k = int(np.argmax(win))
                     gx[b, 2 * i + k // 2, 2 * j + k % 2, ch] = g[b, i, j, ch]
     return out, gx
+
+
+class ReferenceConv2d(Conv2d):
+    """The convolution as first written: im2col from a zero-padded copy of
+    x, col2im by scatter-adding onto a zero-padded gradient, fresh arrays
+    throughout."""
+
+    def forward(self, x):
+        n, h, w, c = x.shape
+        self._in_shape = x.shape
+        pad = np.zeros((n, h + 2, w + 2, c))
+        pad[:, 1:-1, 1:-1, :] = x
+        cols = np.empty((n, h, w, 3, 3, c))
+        for di in range(3):
+            for dj in range(3):
+                cols[:, :, :, di, dj, :] = pad[:, di : di + h, dj : dj + w, :]
+        self._cols = cols.reshape(n * h * w, 9 * c)
+        out = np.empty((n * h * w, self.out_channels))
+        np.matmul(self._cols, self._wmat(), out=out)
+        out += self.bias
+        return out.reshape(n, h, w, self.out_channels)
+
+    def backward(self, grad_out):
+        n, h, w, c = self._in_shape
+        g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
+        gw = (self._cols.T @ g).reshape(3, 3, self.in_channels, self.out_channels)
+        self.grad_weights += gw.transpose(3, 2, 0, 1)
+        self.grad_bias += g.sum(axis=0)
+        gcols = np.empty((n * h * w, 9 * c))
+        np.matmul(g, self._wmat().T, out=gcols)
+        g6 = gcols.reshape(n, h, w, 3, 3, c)
+        gpad = np.zeros((n, h + 2, w + 2, c))
+        for di in range(3):
+            for dj in range(3):
+                gpad[:, di : di + h, dj : dj + w, :] += g6[:, :, :, di, dj, :]
+        self._cols = None
+        return gpad[:, 1:-1, 1:-1, :]
+
+
+def signed_zero_nan_draw(rng, shape):
+    """Normal draws with some exact zeros of both signs and a few NaNs."""
+    a = rng.normal(size=shape)
+    u = rng.random(shape)
+    a[u < 0.15] = 0.0
+    a[(u >= 0.15) & (u < 0.3)] = -0.0
+    a[u > 0.96] = np.nan
+    return a
 
 
 def tie_batch(seed, shape):
@@ -141,6 +189,94 @@ class TestConvBackward:
             assert_grad_close(conv.grad_bias, central_diff(loss, conv.bias))
 
 
+class TestConvMatchesReference:
+    """Clipped-slice im2col/col2im against the padded-copy reference, by bytes."""
+
+    @staticmethod
+    def _pair(c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        conv, ref = Conv2d(c_in, c_out), ReferenceConv2d(c_in, c_out)
+        conv.weights[...] = ref.weights[...] = rng.normal(size=conv.weights.shape)
+        conv.bias[...] = ref.bias[...] = rng.normal(size=c_out)
+        return conv, ref
+
+    @staticmethod
+    def _step_and_compare(conv, ref, x, g):
+        assert np.array_equal(bits(conv.forward(x)), bits(ref.forward(x)))
+        conv.zero_grads()
+        ref.zero_grads()
+        gx, ref_gx = conv.backward(g.copy()), ref.backward(g.copy())
+        assert np.array_equal(bits(gx), bits(ref_gx))
+        assert np.array_equal(bits(conv.grad_weights), bits(ref.grad_weights))
+        assert np.array_equal(bits(conv.grad_bias), bits(ref.grad_bias))
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 5), (8, 8)])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_bitwise_with_signed_zeros_and_nans(self, hw, c_in, batch):
+        rng = np.random.default_rng([*hw, c_in, batch])
+        conv, ref = self._pair(c_in, 2, seed=c_in * 10 + batch)
+        x = signed_zero_nan_draw(rng, (batch, *hw, c_in))
+        g = signed_zero_nan_draw(rng, (batch, *hw, 2))
+        self._step_and_compare(conv, ref, x, g)
+
+    def test_bitwise_without_nans(self):
+        rng = np.random.default_rng(5)
+        conv, ref = self._pair(3, 4, seed=6)
+        x = rng.normal(size=(2, 6, 7, 3))
+        x[x < -1.0] = -0.0
+        self._step_and_compare(conv, ref, x, rng.normal(size=(2, 6, 7, 4)))
+
+    def test_reused_layer_across_shapes(self):
+        # Shape changes reallocate the patch buffer; returning to a shape
+        # must find its border taps zero again, not the last batch's values.
+        rng = np.random.default_rng(8)
+        conv, ref = self._pair(3, 2, seed=9)
+        for shape in [(2, 8, 8, 3), (3, 3, 5, 3), (2, 8, 8, 3), (2, 8, 8, 3)]:
+            x = rng.normal(size=shape) + 5.0  # no zeros: a stale border would show
+            g = rng.normal(size=shape[:3] + (2,))
+            self._step_and_compare(conv, ref, x, g)
+
+    def test_without_input_grad_same_parameter_gradients(self):
+        rng = np.random.default_rng(10)
+        conv, ref = self._pair(1, 3, seed=11)
+        conv.input_grad = False
+        x = rng.normal(size=(3, 4, 6, 1))
+        g = rng.normal(size=(3, 4, 6, 3))
+        conv.forward(x)
+        ref.forward(x)
+        conv.zero_grads()
+        ref.zero_grads()
+        gx = conv.backward(g.copy())
+        ref.backward(g.copy())
+        assert gx.shape == x.shape and np.isnan(gx).all() and not gx.flags.writeable
+        assert np.array_equal(bits(conv.grad_weights), bits(ref.grad_weights))
+        assert np.array_equal(bits(conv.grad_bias), bits(ref.grad_bias))
+
+
+class TestModelBackward:
+    def test_parameter_gradients_match_full_layer_backward_bitwise(self):
+        model = reference_cnn(32, seed=21)
+        convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+        assert [c.input_grad for c in convs] == [False, True, True, True, True]
+        rng = np.random.default_rng(22)
+        x = rng.random((5, 32, 32, 1))
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+
+        model.zero_grads()
+        model.backward(_bce_grad(model.forward(x), y))
+        skipped = [g.copy() for g in model.grads]
+
+        model.layers[0].input_grad = True
+        model.zero_grads()
+        g = _bce_grad(model.forward(x), y).reshape(-1, 1)
+        for layer in reversed(model.layers):
+            g = layer.backward(g)
+        assert g.shape == x.shape and np.isfinite(g).all()
+        for a, b in zip(skipped, model.grads, strict=True):
+            assert np.array_equal(bits(a), bits(b))
+
+
 class TestMaxPool:
     def test_unique_max_and_routing(self):
         pool = MaxPool2x2()
@@ -165,6 +301,18 @@ class TestMaxPool:
             x = tie_batch(seed, (2, 4, 6, 3))
             g = np.random.default_rng(100 + seed).normal(size=(2, 2, 3, 3))
             g[0, 0, 0, :] = -0.0  # a taken -0.0 must arrive as -0.0
+            ref_out, ref_gx = naive_pool(x, g)
+            pool = MaxPool2x2()
+            assert np.array_equal(bits(pool.forward(x)), bits(ref_out))
+            assert np.array_equal(bits(pool.backward(g)), bits(ref_gx))
+
+    def test_matches_per_window_reference_bitwise_without_nan(self):
+        # A batch without NaN skips the per-tap NaN test.
+        for seed in range(4):
+            x = tie_batch(seed, (3, 6, 4, 2))
+            x[np.isnan(x)] = 2.0
+            g = np.random.default_rng(200 + seed).normal(size=(3, 3, 2, 2))
+            g[1, 0, 1, :] = -0.0
             ref_out, ref_gx = naive_pool(x, g)
             pool = MaxPool2x2()
             assert np.array_equal(bits(pool.forward(x)), bits(ref_out))
