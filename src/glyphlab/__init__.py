@@ -44,6 +44,7 @@ from .errors import (
     EmptyDatasetError,
     GlyphLabError,
     StratificationError,
+    TrainingDivergedError,
     UndefinedCurveError,
     UnsupportedDepthError,
     UnsupportedFormatError,

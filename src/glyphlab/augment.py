@@ -9,7 +9,18 @@ The warp is inverse-mapped about the image center: for each destination
 pixel, source = C + M^-1 (dst - C) with M = Rot(theta) Shear(s)
 Scale(zx, zy), then the source coordinate is translated by (tx, ty) and
 finally mirrored for any active flip. Samples falling outside the image
-take the nearest edge pixel, so outputs stay inside [0, 1].
+take the nearest edge pixel, however far out they fall, so outputs stay
+inside [0, 1].
+
+The source grid is separable: sx = (cx + m00 dx) + m01 dy + tx is built
+from a length-w row of dx = x - cx and a length-h column of dy = y - cy
+(sy likewise), in the operation order of the full-grid formula, so no
+coordinate mesh is formed. The sampler copies the image once into a
+buffer with a one-pixel border that repeats the edge, clamps the floor
+of each coordinate once per axis, in float, to [-1, extent - 1], and
+reads all four taps at offsets of one flat index into that buffer.
+augment_batch draws every parameter set first, builds their inverse
+matrices in one stacked product and reuses one padded buffer.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _bilinear
+from .dataset import _edge_pad, _sample_padded
 from .errors import ArgumentError
 from .numerics import Rng, Tensor, derive_seed
 
@@ -38,10 +49,12 @@ class AugmentPolicy:
 
     def __post_init__(self):
         maxima = (self.rot_max, self.wshift_max, self.hshift_max, self.shear_max, self.zoom_max)
-        if any(m < 0 for m in maxima):
-            raise ArgumentError(f"policy maxima must be >= 0, got {maxima}")
+        if not all(math.isfinite(m) and m >= 0 for m in maxima):
+            raise ArgumentError(f"policy maxima must be finite and >= 0, got {maxima}")
         if self.rot_max > 180.0:
             raise ArgumentError(f"rot_max must be <= 180 degrees, got {self.rot_max}")
+        if self.zoom_max >= 1.0:
+            raise ArgumentError(f"zoom_max must be < 1 to keep scales positive, got {self.zoom_max}")
 
     @property
     def is_identity(self) -> bool:
@@ -66,6 +79,8 @@ class AffineParams:
     vflip: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.theta, self.tx, self.ty, self.shear, self.zx, self.zy))):
+            raise ArgumentError(f"affine parameters must be finite, got {self}")
         if self.zx <= 0.0 or self.zy <= 0.0:
             raise ArgumentError(f"scale factors must be positive, got zx={self.zx}, zy={self.zy}")
 
@@ -118,36 +133,55 @@ def _is_identity_params(p: AffineParams) -> bool:
     )
 
 
+def _inverse_maps(params) -> np.ndarray:
+    """M^-1 of every parameter set, stacked (n, 2, 2); the stacked
+    product gives the bits of one 2x2 product per set."""
+    rot, shear, scale = [], [], []
+    for p in params:
+        t = math.radians(p.theta)
+        rot.append([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        shear.append([[1.0, -p.shear], [0.0, 1.0]])
+        scale.append([[p.zx, 0.0], [0.0, p.zy]])
+    m = np.array(rot) @ np.array(shear) @ np.array(scale)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], axis=1)
+    return adj.reshape(-1, 2, 2) / det[:, None, None]
+
+
+def _warp(pad: np.ndarray, p: AffineParams, minv, dx: np.ndarray, dy: np.ndarray, out=None):
+    """Sample the edge-padded image in pad on the source grid of p, with
+    inverse matrix minv and centered destination offsets dx (length w)
+    and dy (h x 1)."""
+    h, w = pad.shape[0] - 2, pad.shape[1] - 2
+    (m00, m01), (m10, m11) = minv
+    sx = ((w - 1) / 2.0 + m00 * dx) + m01 * dy
+    sx += p.tx
+    sy = ((h - 1) / 2.0 + m10 * dx) + m11 * dy
+    sy += p.ty
+    if p.hflip:
+        np.subtract(w - 1, sx, out=sx)
+    if p.vflip:
+        np.subtract(h - 1, sy, out=sy)
+    return _sample_padded(pad, sx, sy, out=out)
+
+
+def _offsets(h: int, w: int):
+    """Destination offsets from the image center: a length-w row dx and
+    an (h, 1) column dy."""
+    dx = np.arange(w, dtype=np.float64) - (w - 1) / 2.0
+    dy = np.arange(h, dtype=np.float64)[:, None] - (h - 1) / 2.0
+    return dx, dy
+
+
 def apply_affine(img: Tensor, p: AffineParams) -> Tensor:
     """Warp one (h, w) image in [0, 1]; bilinear, nearest-edge fill."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ArgumentError(f"expected a single (h, w) image, got shape {img.shape}")
-    if _is_identity_params(p):
+    if img.size == 0 or _is_identity_params(p):  # an empty image has no edge to pad
         return img.copy()
-
     h, w = img.shape
-    cx = (w - 1) / 2.0
-    cy = (h - 1) / 2.0
-
-    t = math.radians(p.theta)
-    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    shear = np.array([[1.0, -p.shear], [0.0, 1.0]])
-    scale = np.array([[p.zx, 0.0], [0.0, p.zy]])
-    m = rot @ shear @ scale
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dx = xs - cx
-    dy = ys - cy
-    sx = cx + minv[0, 0] * dx + minv[0, 1] * dy + p.tx
-    sy = cy + minv[1, 0] * dx + minv[1, 1] * dy + p.ty
-    if p.hflip:
-        sx = (w - 1) - sx
-    if p.vflip:
-        sy = (h - 1) - sy
-    return _bilinear(img, sx, sy)
+    return _warp(_edge_pad(img), p, _inverse_maps([p])[0].tolist(), *_offsets(h, w))
 
 
 def augment_batch(images: Tensor, policy: AugmentPolicy, seed: int, counter: int = 0) -> Tensor:
@@ -163,9 +197,14 @@ def augment_batch(images: Tensor, policy: AugmentPolicy, seed: int, counter: int
     if policy.is_identity:
         return images.copy()
     n, h, w = images.shape
+    params = [sample_affine(policy, Rng(derive_seed(seed, counter, i)), w, h) for i in range(n)]
+    minv = _inverse_maps(params).tolist()
+    dx, dy = _offsets(h, w)
+    pad = np.empty((h + 2, w + 2))
     out = np.empty_like(images)
-    for i in range(n):
-        rng = Rng(derive_seed(seed, counter, i))
-        params = sample_affine(policy, rng, w, h)
-        out[i] = apply_affine(images[i], params)
+    for i, p in enumerate(params):
+        if _is_identity_params(p):
+            out[i] = images[i]
+        else:
+            _warp(_edge_pad(images[i], pad), p, minv[i], dx, dy, out=out[i])
     return out

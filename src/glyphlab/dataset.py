@@ -172,28 +172,65 @@ def write_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def _bilinear(img: np.ndarray, sx, sy) -> np.ndarray:
-    """Bilinear samples of the (h, w) float image img at source
-    coordinates (sx, sy), which broadcast against each other. Taps
-    outside the image take the nearest edge pixel."""
+def _edge_pad(img: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
+    """The (h, w) image img inside a one-pixel border that repeats its
+    edge, written into pad (shaped (h + 2, w + 2)) or a new array."""
     h, w = img.shape
+    if pad is None:
+        pad = np.empty((h + 2, w + 2))
+    pad[1:-1, 1:-1] = img
+    pad[0, 1:-1] = img[0]
+    pad[-1, 1:-1] = img[-1]
+    pad[:, 0] = pad[:, 1]
+    pad[:, -1] = pad[:, -2]
+    return pad
+
+
+def _sample_padded(pad: np.ndarray, sx, sy, out: np.ndarray | None = None) -> np.ndarray:
+    """Bilinear samples at source coordinates (sx, sy) of the image that
+    _edge_pad put into pad; see _bilinear. Writes into out if given."""
+    h, w = pad.shape[0] - 2, pad.shape[1] - 2
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    xi = x0.astype(np.int64)
-    yi = y0.astype(np.int64)
-    # minimum/maximum rather than np.clip, whose call overhead is several
-    # microseconds per array at these sizes.
-    x0i = np.minimum(np.maximum(xi, 0), w - 1)
-    x1i = np.minimum(np.maximum(xi + 1, 0), w - 1)
-    r0 = np.minimum(np.maximum(yi, 0), h - 1) * w
-    r1 = np.minimum(np.maximum(yi + 1, 0), h - 1) * w
-    flat = img.reshape(-1)
+    # One clamp per axis, in float, to [-1, extent - 1]: the taps at
+    # x0 and x0 + 1 then fall inside the padded image, where the border
+    # repeats the edge, so every tap reads the pixel a clamp of each
+    # tap index to [0, extent - 1] would. fmax/fmin map a NaN
+    # coordinate to an in-range index; its weights keep the output NaN.
+    np.fmin(np.fmax(x0, -1.0, out=x0), w - 1, out=x0)
+    np.fmin(np.fmax(y0, -1.0, out=y0), h - 1, out=y0)
+    # Flat index of padded (y0 + 1, x0 + 1); exact in float64.
+    y0 *= w + 2
+    y0 += w + 3
+    idx = np.empty(np.broadcast(x0, y0).shape, dtype=np.int64)
+    np.add(y0, x0, out=idx, casting="unsafe")
+    # Every index is in range by construction; mode="clip" only skips
+    # take's slower bounds-checked path.
+    flat = pad.reshape(-1)
+    top = flat.take(idx, mode="clip")
+    t01 = flat[1:].take(idx, mode="clip")
+    bot = flat[w + 2 :].take(idx, mode="clip")
+    t11 = flat[w + 3 :].take(idx, mode="clip")
     gx = 1.0 - fx
-    top = flat.take(r0 + x0i) * gx + flat.take(r0 + x1i) * fx
-    bot = flat.take(r1 + x0i) * gx + flat.take(r1 + x1i) * fx
-    return top * (1.0 - fy) + bot * fy
+    top *= gx
+    t01 *= fx
+    top += t01
+    bot *= gx
+    t11 *= fx
+    bot += t11
+    top *= 1.0 - fy
+    bot *= fy
+    return np.add(top, bot, out=out)
+
+
+def _bilinear(img: np.ndarray, sx, sy) -> np.ndarray:
+    """Bilinear samples of the (h, w) float image img at source
+    coordinates (sx, sy), which broadcast against each other. Taps
+    outside the image take the nearest edge pixel, however far out
+    they fall."""
+    return _sample_padded(_edge_pad(img), sx, sy)
 
 
 def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:

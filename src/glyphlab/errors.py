@@ -18,6 +18,10 @@ class DimensionError(ArgumentError):
     """Array shapes do not compose for the requested operation."""
 
 
+class TrainingDivergedError(ArgumentError):
+    """A training run produced a non-finite loss or accuracy."""
+
+
 class StratificationError(ArgumentError):
     """A class is too small to be split across train/val/test."""
 

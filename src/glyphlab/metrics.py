@@ -60,6 +60,8 @@ def roc_curve(scores, labels) -> RocCurve:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
         raise ArgumentError("scores and labels must be equal-length non-empty vectors")
+    if np.isnan(scores).any():
+        raise ArgumentError("scores must not be NaN")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..augment import AugmentPolicy, preset
-from ..errors import ArgumentError
+from ..errors import ArgumentError, TrainingDivergedError
 
 
 @dataclass(frozen=True)
@@ -20,12 +19,12 @@ class TrainConfig:
     augment_policy: AugmentPolicy = field(default_factory=lambda: preset("none"))
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ArgumentError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ArgumentError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ArgumentError("epochs must be >= 0 and batch_size >= 1")
-        if self.l2 < 0.0:
-            raise ArgumentError(f"l2 must be >= 0, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ArgumentError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 def mlr_defaults(**overrides) -> TrainConfig:
@@ -50,9 +49,12 @@ class TrainHistory:
     val_acc: list = field(default_factory=list)
 
     def append(self, tl: float, ta: float, vl: float, va: float) -> None:
-        for v in (tl, ta, vl, va):
-            if not np.isfinite(v):
-                raise ArgumentError(f"history values must be finite, got {v}")
+        """Record one epoch; a non-finite value raises
+        TrainingDivergedError naming the epoch (numbered from 0, as in
+        the history CSV) and the first non-finite quantity."""
+        for name, v in zip(("train_loss", "train_acc", "val_loss", "val_acc"), (tl, ta, vl, va)):
+            if not math.isfinite(v):
+                raise TrainingDivergedError(f"training diverged at epoch {len(self)}: {name} is {v}")
         self.train_loss.append(float(tl))
         self.train_acc.append(float(ta))
         self.val_loss.append(float(vl))

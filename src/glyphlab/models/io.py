@@ -12,8 +12,9 @@ Layer tags: 0 conv3x3, 1 maxpool2x2, 2 relu, 3 flatten, 4 dense,
 in the extents and carry prod(extents) weight values followed by
 extents[0] bias values; the other tags have rank 0 and no payload. The
 trailing count is the sum of all payload lengths and is verified on
-read. Class names are not part of the format; loaded models carry
-placeholder names until bound to a dataset's class table.
+read, and every parameter must be finite. Class names are not part of
+the format; loaded models carry placeholder names until bound to a
+dataset's class table.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def _unpack_params(data: bytes, pos: int, tag: int):
     pos += 8 * n_w
     bias = np.frombuffer(data, dtype="<f8", count=n_b, offset=pos).copy()
     pos += 8 * n_b
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise CorruptFileError(f"layer tag {tag} holds non-finite parameters")
     return weights, bias, pos
 
 

@@ -15,7 +15,9 @@ from glyphlab import (
     resize_bilinear,
     sample_affine,
 )
+from glyphlab.augment import _inverse_maps
 from glyphlab.dataset import _bilinear
+from glyphlab.numerics import derive_seed
 
 
 class TestPresets:
@@ -210,3 +212,137 @@ class TestBilinearKernel:
             img = rng.uniform_array((h, w))
             p = sample_affine(policies[k % 2], rng, w, h)
             assert apply_affine(img, p).tobytes() == _reference_affine(img, p).tobytes(), (k, h, w)
+
+
+def _unchecked_params(**fields):
+    """AffineParams with fields its own checks would refuse (NaN, inf),
+    to reach the sampler's handling of non-finite coordinates."""
+    p = AffineParams()
+    for name, value in fields.items():
+        object.__setattr__(p, name, value)
+    return p
+
+
+def _ramp(h, w):
+    """Left-to-right ramp from 0.0 to 1.0."""
+    return np.tile(np.linspace(0.0, 1.0, w), (h, 1))
+
+
+class TestFarSamples:
+    """Samples however far outside the image take the nearest edge pixel."""
+
+    @pytest.mark.parametrize("tx", [1e19, 1e300, -1e19, -1e300])
+    def test_huge_shift_reads_nearest_edge(self, tx):
+        out = apply_affine(_ramp(3, 5), AffineParams(tx=tx))
+        assert out.tolist() == [[1.0 if tx > 0 else 0.0] * 5] * 3
+
+    def test_huge_vertical_shift_reads_nearest_edge(self):
+        img = _ramp(5, 3).T  # rows 0.0, 0.5, 1.0
+        assert apply_affine(img, AffineParams(ty=1e19)).tolist() == [[1.0] * 5] * 3
+        assert apply_affine(img, AffineParams(ty=-1e300)).tolist() == [[0.0] * 5] * 3
+
+    def test_tiny_zoom_on_odd_width(self):
+        img = _ramp(2, 7)
+        out = apply_affine(img, AffineParams(zx=1e-300))
+        want = [[0.0] * 3 + [img[0, 3]] + [1.0] * 3] * 2
+        assert out.tolist() == want
+
+    @pytest.mark.parametrize("fields", [{"theta": math.nan}, {"tx": math.inf}, {"ty": -math.inf}])
+    def test_non_finite_coordinates_give_nan_like_reference(self, fields):
+        img = Rng(31).uniform_array((6, 9))
+        p = _unchecked_params(**fields)
+        with np.errstate(invalid="ignore"):
+            out = apply_affine(img, p)
+            want = _reference_affine(img, p)
+        assert np.isnan(out).all()
+        assert out.tobytes() == want.tobytes()
+
+    def test_sampler_nan_coordinates_stay_nan(self):
+        img = Rng(32).uniform_array((4, 4))
+        sx = np.array([[np.nan, 1.5, np.inf, -np.inf]])
+        sy = np.array([[0.5], [np.nan]])
+        with np.errstate(invalid="ignore"):
+            out = _bilinear(img, sx, sy)
+        assert np.isnan(out[1]).all() and np.isnan(out[0, [0, 2, 3]]).all()
+        assert out[0, 1] == _bilinear(img, np.array([[1.5]]), np.array([[0.5]]))[0, 0]
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field", ["rot_max", "wshift_max", "hshift_max", "shear_max", "zoom_max"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_policy_rejects_non_finite_maxima(self, field, value):
+        with pytest.raises(ArgumentError):
+            AugmentPolicy(**{field: value})
+
+    @pytest.mark.parametrize("zoom_max", [1.0, 2.0])
+    def test_policy_rejects_zoom_that_reaches_zero_scale(self, zoom_max):
+        with pytest.raises(ArgumentError):
+            AugmentPolicy(zoom_max=zoom_max)
+
+    def test_policy_accepts_zoom_below_one(self):
+        assert AugmentPolicy(zoom_max=0.999).zoom_max == 0.999
+
+    @pytest.mark.parametrize("field", ["theta", "tx", "ty", "shear", "zx", "zy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite_fields(self, field, value):
+        with pytest.raises(ArgumentError):
+            AffineParams(**{field: value})
+
+
+def _reference_batch(images, policy, seed, counter=0):
+    """augment_batch as a per-image loop of sample_affine and the
+    reference warp."""
+    n, h, w = images.shape
+    out = np.empty_like(images)
+    for i in range(n):
+        p = sample_affine(policy, Rng(derive_seed(seed, counter, i)), w, h)
+        out[i] = _reference_affine(images[i], p)
+    return out
+
+
+def _reference_inverse(p):
+    """The per-image 2x2 inverse of _reference_affine."""
+    t = math.radians(p.theta)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    shear = np.array([[1.0, -p.shear], [0.0, 1.0]])
+    scale = np.array([[p.zx, 0.0], [0.0, p.zy]])
+    m = rot @ shear @ scale
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+
+
+class TestBatchMatchesReference:
+    POLICIES = {
+        "lossy": preset("lossy"),
+        "lossless": preset("lossless"),
+        "wide": AugmentPolicy(hflip=True, vflip=True, rot_max=180.0, zoom_max=0.5),
+        "hflip": AugmentPolicy(hflip=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (17, 23), (64, 64)])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_bitwise(self, name, shape, n):
+        images = Rng(41 + n).uniform_array((n,) + shape)
+        got = augment_batch(images, self.POLICIES[name], seed=9, counter=2)
+        want = _reference_batch(images, self.POLICIES[name], seed=9, counter=2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_hflip_policy_mixes_identity_and_flipped_draws(self):
+        images = Rng(43).uniform_array((40, 3, 4))
+        out = augment_batch(images, AugmentPolicy(hflip=True), seed=9)
+        kept = [np.array_equal(out[i], images[i]) for i in range(40)]
+        flipped = [np.array_equal(out[i], images[i, :, ::-1]) for i in range(40)]
+        assert all(k or f for k, f in zip(kept, flipped))
+        assert any(kept) and any(flipped)
+
+    def test_stacked_inverse_matches_per_image_products(self):
+        rng = Rng(44)
+        params = [sample_affine(self.POLICIES["wide"], rng, 64, 64) for _ in range(300)]
+        params += [sample_affine(preset("lossy"), rng, 48, 48) for _ in range(300)]
+        params += [AffineParams(), AffineParams(theta=90.0), AffineParams(zx=1e-300, shear=0.2)]
+        stacked = _inverse_maps(params)
+        for i, p in enumerate(params):
+            assert stacked[i].tobytes() == _reference_inverse(p).tobytes(), i

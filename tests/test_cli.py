@@ -276,6 +276,26 @@ class TestTrainCommands:
         assert outs[1] == outs[3]
 
     @pytest.mark.parametrize("kind", ["cnn", "mlr"])
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exit_2_before_training(self, tmp_path, shapes_gly, shapes_val_gly, capsys, kind, lr):
+        hist_out = tmp_path / "h.csv"
+        rc = main([f"train-{kind}", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+                   "--lr", lr, "--model-out", str(tmp_path / "m.gmd"), "--history-out", str(hist_out)])
+        assert rc == 2
+        assert f"learning_rate must be finite and positive, got {lr}" in capsys.readouterr().err
+        assert not hist_out.exists()
+
+    def test_divergence_exit_2_names_epoch_and_quantity(self, tmp_path, shapes_gly, shapes_val_gly, capsys):
+        hist_out = tmp_path / "h.csv"
+        with np.errstate(over="ignore"):
+            rc = main(["train-mlr", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+                       "--epochs", "5", "--lr", "1e300", "--seed", "1",
+                       "--model-out", str(tmp_path / "m.gmd"), "--history-out", str(hist_out)])
+        assert rc == 2
+        assert "error: training diverged at epoch 0: val_loss is inf" in capsys.readouterr().err
+        assert not hist_out.exists()
+
+    @pytest.mark.parametrize("kind", ["cnn", "mlr"])
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):
         # 30 training images (CNN batches of 13, 13 and 4; the MLR takes
         # all 30 at once) and 10 for validation: no batch or half batch is

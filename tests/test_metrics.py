@@ -37,6 +37,10 @@ def history_with(val_loss):
 
 
 class TestRocCurve:
+    def test_nan_score_rejected(self):
+        with pytest.raises(ArgumentError, match="NaN"):
+            roc_curve([0.9, float("nan"), 0.2], [1, 0, 0])
+
     def test_perfect_separation_passes_corner(self):
         curve = roc_curve([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])
         assert (0.0, 1.0) in curve.points

@@ -9,6 +9,8 @@ from glyphlab import (
     LabeledDataset,
     Rng,
     TrainConfig,
+    TrainHistory,
+    TrainingDivergedError,
     bce_loss,
     cnn_train,
     mlr_train,
@@ -140,6 +142,28 @@ class TestMlrTrain:
         m2, h2 = mlr_train(shuffled, ds, cfg)
         assert np.array_equal(m1.w, m2.w)
         assert h1.train_loss == h2.train_loss
+
+
+class TestTrainConfigAndHistory:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ArgumentError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("l2", [math.nan, math.inf, -1e-4])
+    def test_rejects_bad_l2(self, l2):
+        with pytest.raises(ArgumentError, match="l2"):
+            TrainConfig(l2=l2)
+
+    def test_divergence_names_epoch_and_first_non_finite_quantity(self):
+        h = TrainHistory()
+        for _ in range(3):
+            h.append(0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(TrainingDivergedError, match=r"^training diverged at epoch 3: val_loss is nan$"):
+            h.append(0.5, 0.5, math.nan, math.inf)
+        with pytest.raises(TrainingDivergedError, match="epoch 3: train_acc is -inf"):
+            h.append(0.5, -math.inf, math.nan, 0.5)
+        assert len(h) == 3 and isinstance(TrainingDivergedError("x"), ArgumentError)
 
 
 class TestParamCount:
