@@ -155,36 +155,39 @@ def cnn_train(
     best_val = np.inf
 
     shuffle_rng = Rng(derive_seed(cfg.seed, _TAG_SHUFFLE))
-    for epoch in range(cfg.epochs):
-        perm = list(range(n))
-        shuffle_rng.shuffle(perm)
-        x_epoch = images[perm]
-        y_epoch = labels[perm]
-        x_epoch = augment_batch(x_epoch, cfg.augment_policy, cfg.seed, counter=epoch)
+    # A diverging run is reported once, by the TrainingDivergedError that
+    # TrainHistory.append raises, not also by numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = list(range(n))
+            shuffle_rng.shuffle(perm)
+            x_epoch = images[perm]
+            y_epoch = labels[perm]
+            x_epoch = augment_batch(x_epoch, cfg.augment_policy, cfg.seed, counter=epoch)
 
-        loss_sum = 0.0
-        correct = 0.0
-        for start in range(0, n, cfg.batch_size):
-            xb = x_epoch[start : start + cfg.batch_size][:, :, :, None]
-            yb = y_epoch[start : start + cfg.batch_size]
-            p = model.forward(xb)
-            loss_sum += float(bce_loss(p, yb).sum())
-            correct += float(np.sum((p >= 0.5) == (yb == 1.0)))
+            loss_sum = 0.0
+            correct = 0.0
+            for start in range(0, n, cfg.batch_size):
+                xb = x_epoch[start : start + cfg.batch_size][:, :, :, None]
+                yb = y_epoch[start : start + cfg.batch_size]
+                p = model.forward(xb)
+                loss_sum += float(bce_loss(p, yb).sum())
+                correct += float(np.sum((p >= 0.5) == (yb == 1.0)))
 
-            model.zero_grads()
-            model.backward(_bce_grad(p, yb))
-            if cfg.l2 > 0.0:
-                for prm, grd in zip(model.params, model.grads):
-                    grd += cfg.l2 * prm
-            rmsprop_step(model.params, model.grads, state, cfg.learning_rate)
+                model.zero_grads()
+                model.backward(_bce_grad(p, yb))
+                if cfg.l2 > 0.0:
+                    for prm, grd in zip(model.params, model.grads):
+                        grd += cfg.l2 * prm
+                rmsprop_step(model.params, model.grads, state, cfg.learning_rate)
 
-        val_p = model.predict_proba(val.images, chunk=cfg.batch_size)
-        val_loss = float(bce_loss(val_p, val.labels).mean())
-        val_acc = float(np.mean((val_p >= 0.5) == (val.labels == 1)))
-        history.append(loss_sum / n, correct / n, val_loss, val_acc)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = model.copy_params()
+            val_p = model.predict_proba(val.images, chunk=cfg.batch_size)
+            val_loss = float(bce_loss(val_p, val.labels).mean())
+            val_acc = float(np.mean((val_p >= 0.5) == (val.labels == 1)))
+            history.append(loss_sum / n, correct / n, val_loss, val_acc)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = model.copy_params()
 
     model.load_params(best_params)
     return model, history

@@ -9,26 +9,48 @@ input (Relu writes it over grad_out).
 Convolutions are 3x3 cross-correlations with same-size zero padding,
 evaluated as one matrix product over unrolled patches (im2col); the
 input gradient is the matching patch-gradient scatter (col2im). Both
-move the taps through clipped slices, so no padded copy of the input or
-of its gradient is ever made: the border taps of the patch buffer are
-zeroed once, when it is allocated, and never written. A convolution
-whose input needs no gradient (the network's first) has input_grad set
-to False and skips the patch-gradient product and the scatter.
+walk the batch in runs of whole images of at most _ROWS patch rows (one
+image, when an image has more):
+
+- im2col copies a run's images into the interior of a run-sized
+  bordered buffer, whose border is zeroed once, when it is allocated.
+  In that buffer a patch row is three stretches of 3c contiguous
+  values, so one copy from a strided view writes the run's patch rows
+  front to back, where nine per-tap copies would each write it at a
+  stride. The bordered copy is one run, not the batch, so it stays
+  small.
+- col2im computes a run's patch gradients into a run-sized buffer and
+  scatters them onto the input gradient through clipped slices, in tap
+  order, so no full-batch patch-gradient matrix is ever built.
+
+The runs are near-equal in length, not full runs plus a short rest: a
+product split by rows keeps the bits of the whole product only while
+every piece runs through the BLAS general kernel, and a piece of one
+row goes to a matrix-vector kernel that rounds differently (very short
+pieces can also take a small-matrix kernel). A convolution whose input needs no gradient (the network's
+first) has input_grad set to False and skips the patch-gradient
+products and the scatter.
 
 Large arrays live in per-layer buffers keyed by shape, which spares
-re-faulting their pages on every call (the 32->32 layer's patches are
-72 MiB at batch 32): a convolution's patches, product and patch
-gradients, the ReLU output and the max-pool input gradient. An array a
-layer returns is therefore only valid until that layer's next forward or
+re-faulting their pages on every call: a convolution's patch matrix
+and product (full-batch; the 32->32 layer's patches are 72 MiB at
+batch 32 and 32x32) and its bordered run and run of patch gradients,
+the ReLU output and the max-pool input gradient. An array a layer
+returns is therefore only valid until that layer's next forward or
 backward: consume it first, as every trainer does.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import DimensionError
 from ..numerics import Tensor
+
+# Patch rows per convolution run. A constant, never taken from the
+# machine, so every host splits the products alike.
+_ROWS = 2048
 
 
 def _pooled(store: dict, name: str, shape, alloc=np.empty) -> np.ndarray:
@@ -45,6 +67,15 @@ def _shifts(extent: int):
     for d in range(3):
         lo, hi = max(0, 1 - d), min(extent, extent + 1 - d)
         yield d, slice(lo, hi), slice(lo + d - 1, hi + d - 1)
+
+
+def _runs(n: int, rows_per_image: int) -> list:
+    """Image bounds of near-equal runs covering n images, each run at
+    most _ROWS patch rows long or a single image; the last run is the
+    longest."""
+    per_run = max(1, _ROWS // rows_per_image)
+    count = max(1, -(-n // per_run))
+    return [n * i // count for i in range(count + 1)]
 
 
 class Layer:
@@ -69,6 +100,10 @@ class Conv2d(Layer):
         + sum_{c, di, dj} weights[o, c, di, dj] * x[b, i+di-1, j+dj-1, c]
     with out-of-range x reading as 0.
 
+    forward unrolls the batch's patches run by run into one
+    (n*h*w, 9*in) matrix and multiplies it by the weights once; backward
+    takes the weight gradient from that matrix in one product, and the
+    input gradient run by run (see the module docstring for the runs).
     With input_grad False, backward accumulates the parameter gradients
     only and returns a read-only all-NaN array of the input's shape in
     place of the input gradient.
@@ -100,15 +135,20 @@ class Conv2d(Layer):
         n, h, w, c = x.shape
         self._in_shape = x.shape
 
-        # Taps that fall outside the grid keep the zeros of the allocation.
-        cols = _pooled(self._pool, "cols", (n, h, w, 3, 3, c), np.zeros)
-        for di, oi, xi in _shifts(h):
-            for dj, oj, xj in _shifts(w):
-                cols[:, oi, oj, di, dj, :] = x[:, xi, xj, :]
-        self._cols = cols.reshape(n * h * w, 9 * c)
+        runs = _runs(n, h * w)
+        border = _pooled(self._pool, "border", (runs[-1] - runs[-2], h + 2, w + 2, c), np.zeros)
+        cols = _pooled(self._pool, "cols", (n * h * w, 9 * c))
+        # Patch (i, j)'s tap row di is border[b, i + di, j : j + 3] flattened.
+        s0, s1, s2, s3 = border.strides
+        for a, b in zip(runs, runs[1:]):
+            run = border[: b - a]
+            run[:, 1:-1, 1:-1, :] = x[a:b]
+            taps = as_strided(run, (b - a, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
+            np.copyto(cols[a * h * w : b * h * w].reshape(taps.shape), taps)
+        self._cols = cols
 
         out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
-        np.matmul(self._cols, self._wmat(), out=out)
+        np.matmul(cols, self._wmat(), out=out)
         out += self.bias
         return out.reshape(n, h, w, self.out_channels)
 
@@ -124,15 +164,20 @@ class Conv2d(Layer):
         if not self.input_grad:
             return np.broadcast_to(np.nan, self._in_shape)
 
-        # Patch gradients, then scatter-add the in-grid taps onto +0.0 in
-        # tap order; a fresh gx keeps the peak RSS below a pooled one.
-        gcols = _pooled(self._pool, "gcols", (n * h * w, 9 * c))
-        np.matmul(g, self._wmat().T, out=gcols)
-        g6 = gcols.reshape(n, h, w, 3, 3, c)
+        # Per run: its patch gradients, then scatter-add the in-grid taps
+        # onto +0.0 in tap order; a fresh gx keeps the peak RSS below a
+        # pooled one.
+        wt = self._wmat().T
+        runs = _runs(n, h * w)
+        gcols = _pooled(self._pool, "gcols", ((runs[-1] - runs[-2]) * h * w, 9 * c))
         gx = np.zeros((n, h, w, c))
-        for di, oi, xi in _shifts(h):
-            for dj, oj, xj in _shifts(w):
-                gx[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
+        for a, b in zip(runs, runs[1:]):
+            g6 = np.matmul(g[a * h * w : b * h * w], wt, out=gcols[: (b - a) * h * w])
+            g6 = g6.reshape(b - a, h, w, 3, 3, c)
+            gx_run = gx[a:b]
+            for di, oi, xi in _shifts(h):
+                for dj, oj, xj in _shifts(w):
+                    gx_run[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
         return gx
 
 

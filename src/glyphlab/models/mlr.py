@@ -83,26 +83,29 @@ def mlr_train(
     w = np.zeros((n_classes, h * wd))
     b = np.zeros(n_classes)
     history = TrainHistory()
-    for epoch in range(cfg.epochs):
-        if cfg.augment_policy.is_identity:
-            x = images.reshape(n, -1)
-        else:
-            x = augment_batch(images, cfg.augment_policy, cfg.seed, counter=epoch)
-            x = x.reshape(n, -1)
-        p = softmax_rows(x @ w.T + b)
-        grad_w = (p - onehot).T @ x / n + cfg.l2 * w
-        grad_b = (p - onehot).sum(axis=0) / n
-        train_loss = _ce_loss(p, labels, w, cfg.l2)
-        train_acc = float(np.mean(p.argmax(axis=1) == labels))
+    # A diverging run is reported once, by the TrainingDivergedError that
+    # TrainHistory.append raises, not also by numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if cfg.augment_policy.is_identity:
+                x = images.reshape(n, -1)
+            else:
+                x = augment_batch(images, cfg.augment_policy, cfg.seed, counter=epoch)
+                x = x.reshape(n, -1)
+            p = softmax_rows(x @ w.T + b)
+            grad_w = (p - onehot).T @ x / n + cfg.l2 * w
+            grad_b = (p - onehot).sum(axis=0) / n
+            train_loss = _ce_loss(p, labels, w, cfg.l2)
+            train_acc = float(np.mean(p.argmax(axis=1) == labels))
 
-        w = w - cfg.learning_rate * grad_w
-        b = b - cfg.learning_rate * grad_b
+            w = w - cfg.learning_rate * grad_w
+            b = b - cfg.learning_rate * grad_b
 
-        p_val = softmax_rows(x_val @ w.T + b)
-        history.append(
-            train_loss,
-            train_acc,
-            _ce_loss(p_val, y_val, w, cfg.l2),
-            float(np.mean(p_val.argmax(axis=1) == y_val)),
-        )
+            p_val = softmax_rows(x_val @ w.T + b)
+            history.append(
+                train_loss,
+                train_acc,
+                _ce_loss(p_val, y_val, w, cfg.l2),
+                float(np.mean(p_val.argmax(axis=1) == y_val)),
+            )
     return MlrModel(w, b, train.class_names), history

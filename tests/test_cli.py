@@ -16,17 +16,20 @@ from glyphlab import read_gly, write_gly
 from glyphlab.cli import main
 
 
-def run_cli_with_blas_threads(threads, *argv):
+def run_cli_with_blas_threads(threads, *argv, check=True):
     """Run the CLI in a fresh process, since OpenBLAS reads its thread
-    count when it loads."""
+    count when it loads; returns the process with its captured output."""
     src = str(Path(glyphlab.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
     env.pop("OMP_NUM_THREADS", None)
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", "import sys; from glyphlab.cli import main; sys.exit(main())", *argv],
-        env=env, check=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120,
     )
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def write_pgm_tree(root, spec):
@@ -287,13 +290,25 @@ class TestTrainCommands:
 
     def test_divergence_exit_2_names_epoch_and_quantity(self, tmp_path, shapes_gly, shapes_val_gly, capsys):
         hist_out = tmp_path / "h.csv"
-        with np.errstate(over="ignore"):
-            rc = main(["train-mlr", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
-                       "--epochs", "5", "--lr", "1e300", "--seed", "1",
-                       "--model-out", str(tmp_path / "m.gmd"), "--history-out", str(hist_out)])
+        rc = main(["train-mlr", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+                   "--epochs", "5", "--lr", "1e300", "--seed", "1",
+                   "--model-out", str(tmp_path / "m.gmd"), "--history-out", str(hist_out)])
         assert rc == 2
         assert "error: training diverged at epoch 0: val_loss is inf" in capsys.readouterr().err
         assert not hist_out.exists()
+
+    @pytest.mark.parametrize("kind, value", [("cnn", "nan"), ("mlr", "inf")])
+    def test_divergence_prints_only_the_error_line(self, tmp_path, shapes_gly, shapes_val_gly, kind, value):
+        # Run outside pytest, whose warning capture would hide numpy's
+        # overflow warnings from stderr.
+        proc = run_cli_with_blas_threads(
+            "1", f"train-{kind}", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+            "--epochs", "2", "--lr", "1e300", "--seed", "1",
+            "--model-out", str(tmp_path / "m.gmd"), "--history-out", str(tmp_path / "h.csv"),
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: training diverged at epoch 0: val_loss is {value}"]
 
     @pytest.mark.parametrize("kind", ["cnn", "mlr"])
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):

@@ -6,7 +6,7 @@ import pytest
 
 from glyphlab import DimensionError, Rng, reference_cnn
 from glyphlab.models.cnn import _bce_grad
-from glyphlab.models.layers import Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
+from glyphlab.models.layers import _ROWS, Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
 EPS = 1e-6
 REL_TOL = 1e-5
@@ -219,6 +219,33 @@ class TestConvMatchesReference:
         x = signed_zero_nan_draw(rng, (batch, *hw, c_in))
         g = signed_zero_nan_draw(rng, (batch, *hw, 2))
         self._step_and_compare(conv, ref, x, g)
+
+    # Several runs of whole images, one shorter than the rest for batches
+    # 5 and 9; batch 32 at 32x32, 32->32 is the benchmark's conv2.
+    @pytest.mark.parametrize("batch, hw, c_in, c_out", [
+        (5, (32, 32), 32, 32), (9, (16, 16), 32, 64), (32, (32, 32), 32, 32),
+    ])
+    def test_bitwise_across_runs(self, batch, hw, c_in, c_out):
+        rng = np.random.default_rng([*hw, c_in, c_out, batch])
+        conv, ref = self._pair(c_in, c_out, seed=batch)
+        x = signed_zero_nan_draw(rng, (batch, *hw, c_in))
+        g = signed_zero_nan_draw(rng, (batch, *hw, c_out))
+        self._step_and_compare(conv, ref, x, g)
+        # With this many channels nearly every sum meets a NaN, so compare
+        # the same draws with their NaNs set to -0.0 as well.
+        self._step_and_compare(conv, ref, np.where(np.isnan(x), -0.0, x), np.where(np.isnan(g), -0.0, g))
+
+    @pytest.mark.parametrize("batch, side, c_in", [(5, 32, 32), (2, 48, 1)])
+    def test_run_buffers_hold_one_run(self, batch, side, c_in):
+        # The bordered images and the patch gradients are run-sized: at
+        # most _ROWS patch rows, or one image when an image has more.
+        rng = np.random.default_rng(12)
+        conv = Conv2d(c_in, 4)
+        conv.forward(rng.normal(size=(batch, side, side, c_in)))
+        conv.backward(rng.normal(size=(batch, side, side, 4)))
+        images = max(1, _ROWS // (side * side))
+        assert conv._pool["border"].shape == (images, side + 2, side + 2, c_in)
+        assert conv._pool["gcols"].shape == (images * side * side, 9 * c_in)
 
     def test_bitwise_without_nans(self):
         rng = np.random.default_rng(5)
