@@ -1,9 +1,10 @@
 """Geometric augmentation with reproducible per-image parameter streams.
 
 Two named regimes are built in: "lossless" (random horizontal and
-vertical flips only, no resampling) and "lossy" (random rotations up to
-40 degrees, width/height shifts up to 20%, shear up to 20%, zoom up to
-20%). "none" is the identity.
+vertical flips only; they go through the bilinear sampler, but land on
+integer coordinates, so finite pixels come out exact) and "lossy"
+(random rotations up to 40 degrees, width/height shifts up to 20%,
+shear up to 20%, zoom up to 20%). "none" is the identity.
 
 The warp is inverse-mapped about the image center: for each destination
 pixel, source = C + M^-1 (dst - C) with M = Rot(theta) Shear(s)

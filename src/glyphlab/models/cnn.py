@@ -68,14 +68,22 @@ class CnnModel:
             p[...] = v
 
     def predict_proba(self, images: Tensor, chunk: int = 32) -> Tensor:
-        """Scalar probability per image, evaluated in memory-bounded chunks."""
+        """Scalar probability per image, evaluated in memory-bounded chunks
+        by forward-only convolutions (no full-chunk patch matrix)."""
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected (n, h, w) images, got shape {x.shape}")
         out = np.empty(len(x))
-        for start in range(0, len(x), chunk):
-            batch = x[start : start + chunk][:, :, :, None]
-            out[start : start + chunk] = self.forward(batch)
+        convs = [layer for layer in self.layers if isinstance(layer, Conv2d)]
+        for conv in convs:
+            conv.forward_only = True
+        try:
+            for start in range(0, len(x), chunk):
+                batch = x[start : start + chunk][:, :, :, None]
+                out[start : start + chunk] = self.forward(batch)
+        finally:
+            for conv in convs:
+                conv.forward_only = False
         return out
 
 

@@ -7,10 +7,10 @@ gradients on the layer, and returns the gradient with respect to its
 input (Relu writes it over grad_out).
 
 Convolutions are 3x3 cross-correlations with same-size zero padding,
-evaluated as one matrix product over unrolled patches (im2col); the
-input gradient is the matching patch-gradient scatter (col2im). Both
-walk the batch in runs of whole images of at most _ROWS patch rows (one
-image, when an image has more):
+evaluated as matrix products over unrolled patches (im2col); the input
+gradient is the matching patch-gradient scatter (col2im). Both walk the
+batch in runs of whole images of at most _ROWS patch rows (one image,
+when an image has more):
 
 - im2col copies a run's images into the interior of a run-sized
   bordered buffer, whose border is zeroed once, when it is allocated.
@@ -19,6 +19,11 @@ image, when an image has more):
   front to back, where nine per-tap copies would each write it at a
   stride. The bordered copy is one run, not the batch, so it stays
   small.
+- forward multiplies each run's patches into that run's rows of the
+  output as soon as they are written. A whole-batch product has the
+  same bits, but 2-thread OpenBLAS touches scratch that grows with its
+  rows (53 MB for conv2's 32,768 rows at batch 32, 64x64; 0.4 MB on one
+  thread).
 - col2im computes a run's patch gradients into a run-sized buffer and
   scatters them onto the input gradient through clipped slices, in tap
   order, so no full-batch patch-gradient matrix is ever built.
@@ -27,17 +32,19 @@ The runs are near-equal in length, not full runs plus a short rest: a
 product split by rows keeps the bits of the whole product only while
 every piece runs through the BLAS general kernel, and a piece of one
 row goes to a matrix-vector kernel that rounds differently (very short
-pieces can also take a small-matrix kernel). A convolution whose input needs no gradient (the network's
-first) has input_grad set to False and skips the patch-gradient
-products and the scatter.
+pieces can also take a small-matrix kernel). A convolution whose input
+needs no gradient (the network's first) has input_grad set to False and
+skips the patch-gradient products and the scatter.
 
 Large arrays live in per-layer buffers keyed by shape, which spares
-re-faulting their pages on every call: a convolution's patch matrix
-and product (full-batch; the 32->32 layer's patches are 72 MiB at
-batch 32 and 32x32) and its bordered run and run of patch gradients,
-the ReLU output and the max-pool input gradient. An array a layer
-returns is therefore only valid until that layer's next forward or
-backward: consume it first, as every trainer does.
+re-faulting their pages on every call. Full-batch: a convolution's
+product, the ReLU output, the max-pool input gradient, and a
+convolution's patch matrix when a backward follows (72 MiB for the
+32->32 layer at batch 32 and 32x32); with forward_only set, as
+CnnModel.predict_proba sets it, one run of patches. Run-sized: the
+bordered run and the run of patch gradients. An array a layer returns
+is therefore only valid until that layer's next forward or backward:
+consume it first, as every trainer does.
 """
 
 from __future__ import annotations
@@ -100,13 +107,14 @@ class Conv2d(Layer):
         + sum_{c, di, dj} weights[o, c, di, dj] * x[b, i+di-1, j+dj-1, c]
     with out-of-range x reading as 0.
 
-    forward unrolls the batch's patches run by run into one
-    (n*h*w, 9*in) matrix and multiplies it by the weights once; backward
-    takes the weight gradient from that matrix in one product, and the
-    input gradient run by run (see the module docstring for the runs).
-    With input_grad False, backward accumulates the parameter gradients
-    only and returns a read-only all-NaN array of the input's shape in
-    place of the input gradient.
+    forward unrolls the patches run by run and multiplies each run by
+    the weights (see the module docstring). A training forward keeps
+    them in one full-batch (n*h*w, 9*in) matrix, from which backward
+    takes the weight gradient in one product; with forward_only set,
+    forward keeps one run and backward raises DimensionError. With
+    input_grad False, backward accumulates the parameter gradients only
+    and returns a read-only all-NaN array of the input's shape in place
+    of the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -119,6 +127,7 @@ class Conv2d(Layer):
         self.params = [self.weights, self.bias]
         self.grads = [self.grad_weights, self.grad_bias]
         self.input_grad = True
+        self.forward_only = False
         self._pool: dict = {}
         self._cols = None
         self._in_shape = None
@@ -136,23 +145,38 @@ class Conv2d(Layer):
         self._in_shape = x.shape
 
         runs = _runs(n, h * w)
-        border = _pooled(self._pool, "border", (runs[-1] - runs[-2], h + 2, w + 2, c), np.zeros)
-        cols = _pooled(self._pool, "cols", (n * h * w, 9 * c))
+        longest = runs[-1] - runs[-2]
+        border = _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
+        if self.forward_only:
+            # No backward reads the patches, so each run reuses the same
+            # rows: the leading rows of a pooled full-batch matrix, if any.
+            cols = self._pool.get("cols")
+            if cols is None or len(cols) < longest * h * w:
+                cols = _pooled(self._pool, "run_cols", (longest * h * w, 9 * c))
+            self._cols = None
+        else:
+            cols = self._cols = _pooled(self._pool, "cols", (n * h * w, 9 * c))
+        out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
+        wmat = self._wmat()
         # Patch (i, j)'s tap row di is border[b, i + di, j : j + 3] flattened.
         s0, s1, s2, s3 = border.strides
         for a, b in zip(runs, runs[1:]):
             run = border[: b - a]
             run[:, 1:-1, 1:-1, :] = x[a:b]
             taps = as_strided(run, (b - a, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
-            np.copyto(cols[a * h * w : b * h * w].reshape(taps.shape), taps)
-        self._cols = cols
-
-        out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
-        np.matmul(cols, self._wmat(), out=out)
+            first = 0 if self.forward_only else a * h * w
+            patches = cols[first : first + (b - a) * h * w]
+            np.copyto(patches.reshape(taps.shape), taps)
+            np.matmul(patches, wmat, out=out[a * h * w : b * h * w])
         out += self.bias
         return out.reshape(n, h, w, self.out_channels)
 
     def backward(self, grad_out: Tensor) -> Tensor:
+        if self._cols is None:
+            raise DimensionError(
+                "conv backward needs a training forward first: the last forward "
+                "was forward-only, or its patches were spent by an earlier backward"
+            )
         n, h, w, c = self._in_shape
         if grad_out.shape != (n, h, w, self.out_channels):
             raise DimensionError(f"conv gradient shape {grad_out.shape} does not match forward")

@@ -93,8 +93,12 @@ def mlr_train(
                 x = augment_batch(images, cfg.augment_policy, cfg.seed, counter=epoch)
                 x = x.reshape(n, -1)
             p = softmax_rows(x @ w.T + b)
-            grad_w = (p - onehot).T @ x / n + cfg.l2 * w
-            grad_b = (p - onehot).sum(axis=0) / n
+            resid = p - onehot
+            # einsum, not BLAS: OpenBLAS splits this sum over the samples
+            # into blocks that depend on its thread count (the bits of a
+            # 1 and a 2 thread run differed at 1,200 samples, not at 512).
+            grad_w = np.einsum("nk,nf->kf", resid, x) / n + cfg.l2 * w
+            grad_b = resid.sum(axis=0) / n
             train_loss = _ce_loss(p, labels, w, cfg.l2)
             train_acc = float(np.mean(p.argmax(axis=1) == labels))
 

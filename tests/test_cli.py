@@ -310,24 +310,40 @@ class TestTrainCommands:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: training diverged at epoch 0: val_loss is {value}"]
 
-    @pytest.mark.parametrize("kind", ["cnn", "mlr"])
+    # cnn, mlr: 30 training images (CNN batches of 13, 13 and 4; the MLR
+    # takes all 30 at once) and 10 for validation, so no batch or half
+    # batch is a multiple of 8. mlr-1200: enough samples that a BLAS
+    # product summing over them splits the sum by thread count. evaluate:
+    # 45 images at 64x64 are a chunk of 32 and a short one of 13, and
+    # conv1-conv3 split each chunk into several runs.
+    @pytest.mark.parametrize("kind", ["cnn", "mlr", "mlr-1200", "evaluate"])
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):
-        # 30 training images (CNN batches of 13, 13 and 4; the MLR takes
-        # all 30 at once) and 10 for validation: no batch or half batch is
-        # a multiple of 8.
+        from glyphlab import LabeledDataset, reference_cnn, save_model
+
         train, val = tmp_path / "train.gly", tmp_path / "val.gly"
-        write_gly(make_shapes_dataset(15, side=32, seed=61, noise=0.1), train)
-        write_gly(make_shapes_dataset(5, side=32, seed=62, noise=0.1), val)
-        epochs = "1" if kind == "cnn" else "20"
+        if kind == "evaluate":
+            ds = make_shapes_dataset(23, side=64, seed=63, noise=0.1)
+            write_gly(LabeledDataset(ds.images[:45], ds.labels[:45], ds.class_names), val)
+            save_model(reference_cnn(64, seed=9, class_names=ds.class_names), tmp_path / "cnn.gmd")
+        else:
+            per_class = 600 if kind == "mlr-1200" else 15
+            write_gly(make_shapes_dataset(per_class, side=32, seed=61, noise=0.1), train)
+            write_gly(make_shapes_dataset(5, side=32, seed=62, noise=0.1), val)
         outputs = []
         for threads in ("1", "2"):
-            model, hist = tmp_path / f"m{threads}.gmd", tmp_path / f"h{threads}.csv"
-            run_cli_with_blas_threads(
-                threads, f"train-{kind}", "--train", str(train), "--val", str(val),
-                "--augment", "lossy", "--epochs", epochs, "--batch", "13", "--seed", "8",
-                "--model-out", str(model), "--history-out", str(hist),
-            )
-            outputs.append((model.read_bytes(), hist.read_bytes()))
+            first, second = tmp_path / f"a{threads}", tmp_path / f"b{threads}"
+            if kind == "evaluate":
+                argv = ["evaluate", "--model", str(tmp_path / "cnn.gmd"), "--data", str(val),
+                        "--out-csv", str(first), "--roc-svg", str(second)]
+            else:
+                argv = [f"train-{kind.partition('-')[0]}", "--train", str(train), "--val", str(val),
+                        "--epochs", {"cnn": "1", "mlr": "20", "mlr-1200": "2"}[kind],
+                        "--batch", "13", "--seed", "8",
+                        "--model-out", str(first), "--history-out", str(second)]
+                if kind != "mlr-1200":
+                    argv += ["--augment", "lossy"]
+            run_cli_with_blas_threads(threads, *argv)
+            outputs.append((first.read_bytes(), second.read_bytes()))
         assert outputs[0] == outputs[1]
 
 

@@ -188,6 +188,22 @@ class TestConvBackward:
             assert_grad_close(conv.grad_weights, central_diff(loss, conv.weights))
             assert_grad_close(conv.grad_bias, central_diff(loss, conv.bias))
 
+    def test_backward_needs_a_training_forward(self):
+        rng = np.random.default_rng(13)
+        conv = Conv2d(2, 3)
+        x, g = rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(2, 5, 5, 3))
+        with pytest.raises(DimensionError, match="training forward"):
+            conv.backward(g)
+        conv.forward_only = True
+        conv.forward(x)
+        with pytest.raises(DimensionError, match="training forward"):
+            conv.backward(g)
+        conv.forward_only = False
+        conv.forward(x)
+        conv.backward(g)
+        with pytest.raises(DimensionError, match="training forward"):
+            conv.backward(g)
+
 
 class TestConvMatchesReference:
     """Clipped-slice im2col/col2im against the padded-copy reference, by bytes."""
@@ -279,6 +295,44 @@ class TestConvMatchesReference:
         assert gx.shape == x.shape and np.isnan(gx).all() and not gx.flags.writeable
         assert np.array_equal(bits(conv.grad_weights), bits(ref.grad_weights))
         assert np.array_equal(bits(conv.grad_bias), bits(ref.grad_bias))
+
+
+class TestPredictProba:
+    """Forward-only inference against the training forward, by bytes."""
+
+    @staticmethod
+    def _convs(model):
+        return [layer for layer in model.layers if isinstance(layer, Conv2d)]
+
+    # One full chunk; an odd chunk, so chunks of 13, 13 and 6 split
+    # conv1-conv3 into runs of unequal image counts; one image.
+    @pytest.mark.parametrize("n, chunk", [(32, 32), (32, 13), (1, 32)])
+    def test_bitwise_equal_to_training_forward(self, n, chunk):
+        model = reference_cnn(64, seed=31)
+        x = np.random.default_rng([n, chunk]).random((n, 64, 64))
+        p = model.predict_proba(x, chunk=chunk)
+        for conv in self._convs(model):
+            # Only run-sized patch buffers: no full-chunk patch matrix.
+            rows = conv._in_shape[1] * conv._in_shape[2]
+            assert "cols" not in conv._pool
+            assert len(conv._pool["run_cols"]) <= max(_ROWS, rows)
+            assert not conv.forward_only
+        want = np.concatenate(
+            [model.forward(x[a : a + chunk, :, :, None]).copy() for a in range(0, n, chunk)]
+        )
+        assert np.array_equal(bits(p), bits(want))
+
+    def test_reuses_the_training_patch_matrix(self):
+        model = reference_cnn(64, seed=33)
+        x = np.random.default_rng(34).random((32, 64, 64))
+        want = model.forward(x[:, :, :, None]).copy()
+        cols = [conv._pool["cols"] for conv in self._convs(model)]
+        assert np.array_equal(bits(model.predict_proba(x)), bits(want))
+        for conv, buf in zip(self._convs(model), cols):
+            assert conv._pool["cols"] is buf and "run_cols" not in conv._pool
+        # The last forward kept no patches, so there is nothing to backward.
+        with pytest.raises(DimensionError, match="training forward"):
+            model.backward(np.zeros(32))
 
 
 class TestModelBackward:
