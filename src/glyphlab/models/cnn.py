@@ -3,10 +3,14 @@
 The reference network is a pyramid: five conv/pool blocks whose spatial
 extent halves while channels grow 1 -> 32 -> 32 -> 64 -> 64 -> 128,
 then a 128-unit dense layer and a sigmoid output. At 64x64 input that
-is 204,641 trainable parameters. Loss is binary cross-entropy; training
-augments each epoch's shuffled batch stream with fresh draws, keeps
-validation clean, and returns the parameters from the epoch with the
-lowest validation loss.
+is 204,641 trainable parameters. A block is stored conv -> ReLU -> pool
+(the GMD1 order) but runs conv -> pool -> ReLU, so each ReLU sees a
+quarter of the values. Max commutes with ReLU, so the values match; a
+window whose max is positive routes its gradient to the same tap, and
+otherwise only a zero moves, which changes no sum's bits. Loss is
+binary cross-entropy; training augments each epoch's shuffled batch
+stream with fresh draws, keeps validation clean, and returns the
+parameters from the epoch with the lowest validation loss.
 """
 
 from __future__ import annotations
@@ -36,14 +40,23 @@ class CnnModel:
             # backward discards the images' gradient, so it is never built
             self.layers[0].input_grad = False
 
+    def execution_order(self) -> list[Layer]:
+        """self.layers with each Relu that directly precedes a MaxPool2x2
+        moved after it; derived afresh on every call."""
+        order = list(self.layers)
+        for i in range(len(order) - 1):
+            if isinstance(order[i], Relu) and isinstance(order[i + 1], MaxPool2x2):
+                order[i], order[i + 1] = order[i + 1], order[i]
+        return order
+
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
+        for layer in self.execution_order():
             x = layer.forward(x)
         return x.reshape(-1)
 
     def backward(self, grad_p: Tensor) -> None:
         g = np.asarray(grad_p, dtype=np.float64).reshape(-1, 1)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.execution_order()):
             g = layer.backward(g)
 
     @property

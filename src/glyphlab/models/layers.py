@@ -38,7 +38,8 @@ skips the patch-gradient products and the scatter.
 
 Large arrays live in per-layer buffers keyed by shape, which spares
 re-faulting their pages on every call. Full-batch: a convolution's
-product, the ReLU output, the max-pool input gradient, and a
+product, the ReLU output (pool-sized in the reference net, which runs
+ReLU after the pool), the max-pool input gradient, and a
 convolution's patch matrix when a backward follows (72 MiB for the
 32->32 layer at batch 32 and 32x32); with forward_only set, as
 CnnModel.predict_proba sets it, one run of patches. Run-sized: the
@@ -216,6 +217,8 @@ class MaxPool2x2(Layer):
         self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 4:
+            raise DimensionError(f"pool expects (n, h, w, c), got {x.shape}")
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise DimensionError(f"pooling needs even extents, got {h}x{w}")

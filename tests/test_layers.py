@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from glyphlab import DimensionError, Rng, reference_cnn
-from glyphlab.models.cnn import _bce_grad
+from glyphlab.models.cnn import CnnModel, _bce_grad
 from glyphlab.models.layers import _ROWS, Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
 EPS = 1e-6
@@ -351,10 +351,81 @@ class TestModelBackward:
         model.layers[0].input_grad = True
         model.zero_grads()
         g = _bce_grad(model.forward(x), y).reshape(-1, 1)
-        for layer in reversed(model.layers):
+        for layer in reversed(model.execution_order()):
             g = layer.backward(g)
         assert g.shape == x.shape and np.isfinite(g).all()
         for a, b in zip(skipped, model.grads, strict=True):
+            assert np.array_equal(bits(a), bits(b))
+
+
+def list_order_step(model, x, y):
+    """Forward and backward over model.layers in stored order (ReLU before
+    each pool): the probabilities and the accumulated parameter gradients."""
+    model.zero_grads()
+    h = x
+    for layer in model.layers:
+        h = layer.forward(h)
+    p = h.reshape(-1).copy()
+    g = _bce_grad(p, y).reshape(-1, 1)
+    for layer in reversed(model.layers):
+        g = layer.backward(g)
+    return p, [g.copy() for g in model.grads]
+
+
+class TestExecutionOrder:
+    def test_reference_net_pools_before_relu(self):
+        model = reference_cnn(32)
+        stored = list(model.layers)
+        order = model.execution_order()
+        names = [type(layer).__name__ for layer in order]
+        assert names == ["Conv2d", "MaxPool2x2", "Relu"] * 5 + [
+            "Flatten", "Dense", "Relu", "Dense", "Sigmoid"]
+        assert sorted(map(id, order)) == sorted(map(id, stored))
+        assert model.layers == stored  # the stored (GMD1) order is untouched
+
+    def test_hand_built_model_gets_the_swap(self):
+        conv, relu, pool = Conv2d(1, 2), Relu(), MaxPool2x2()
+        flat, dense, sig = Flatten(), Dense(8, 1), Sigmoid()
+        model = CnnModel([conv, relu, pool, flat, dense, sig])
+        assert model.execution_order() == [conv, pool, relu, flat, dense, sig]
+        assert model.forward(np.ones((3, 4, 4, 1))).shape == (3,)
+
+    def test_follows_edits_to_the_layer_list(self):
+        model = reference_cnn(32)
+        relu = Relu()
+        model.layers[1] = relu
+        assert model.execution_order()[2] is relu
+        model.layers[2] = Relu()  # no pool follows either ReLU now
+        assert model.execution_order()[1:3] == model.layers[1:3]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_list_order_with_nonpositive_windows(self, seed):
+        # Negative conv biases leave about half the pool windows with
+        # max <= 0, where the two orders route a signed zero gradient to
+        # different taps (biases near -0.3 kill blocks 3-5 outright, so
+        # every gradient below them is zero); three dead channels per conv
+        # make every one of their sums a sum of zeros alone.
+        rng = np.random.default_rng(seed)
+        model = reference_cnn(32, seed=seed)
+        for layer in model.layers:
+            if isinstance(layer, Conv2d):
+                layer.bias[...] = rng.normal(-0.1, 0.1, layer.bias.shape)
+                layer.bias[rng.choice(layer.out_channels, 3, replace=False)] = -1e3
+        x = rng.random((6, 32, 32, 1))
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+
+        model.zero_grads()
+        p = model.forward(x).copy()
+        model.backward(_bce_grad(p, y))
+        grads = [g.copy() for g in model.grads]
+        pools = [layer for layer in model.layers if isinstance(layer, MaxPool2x2)]
+        nonpositive = [float(np.mean(pool._out <= 0.0)) for pool in pools]
+        assert 0.2 < min(nonpositive) and max(nonpositive) < 0.8, nonpositive
+        assert all(np.any(g != 0.0) for g in grads)
+
+        want_p, want_grads = list_order_step(model, x, y)
+        assert np.array_equal(bits(p), bits(want_p))
+        for a, b in zip(grads, want_grads, strict=True):
             assert np.array_equal(bits(a), bits(b))
 
 
@@ -376,6 +447,10 @@ class TestMaxPool:
     def test_odd_extent_rejected(self):
         with pytest.raises(DimensionError):
             MaxPool2x2().forward(np.zeros((1, 3, 4, 1)))
+
+    def test_non_4d_input_rejected(self):
+        with pytest.raises(DimensionError):
+            MaxPool2x2().forward(np.zeros((4, 4, 1)))
 
     def test_matches_per_window_reference_bitwise(self):
         for seed in range(4):
