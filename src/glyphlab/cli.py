@@ -153,8 +153,10 @@ def cmd_tsne(args) -> int:
 def cmd_distmap(args) -> int:
     ds = _parse_classes(_load_dataset(args.input), args.classes)
     dm = pairwise_euclidean(ds.images.reshape(ds.n, -1))
+    labels, class_names = ds.labels, ds.class_names
+    del ds  # the images are not needed past the distances
     dg = hcluster_average(dm)
-    reordered, ribbon = clustered_map(dm, dg, ds.labels)
+    reordered, ribbon = clustered_map(dm, dg, labels)
     perm = dg.leaf_order
 
     rows = ["id," + ",".join(str(p) for p in perm)]
@@ -163,11 +165,11 @@ def cmd_distmap(args) -> int:
     _write_text(args.out_csv, "\n".join(rows) + "\n")
     _write_text(
         args.out_svg,
-        heatmap_svg(reordered, ribbon, ds.class_names, title="clustered distance map"),
+        heatmap_svg(reordered, ribbon, class_names, title="clustered distance map"),
     )
 
     _write_manifest(args, [args.input], [args.out_csv, args.out_svg])
-    print(f"clustered n={dm.n} classes={len(ds.class_names)}")
+    print(f"clustered n={dm.n} classes={len(class_names)}")
     return 0
 
 

@@ -201,6 +201,7 @@ def cnn_train(
                     for prm, grd in zip(model.params, model.grads):
                         grd += cfg.l2 * prm
                 rmsprop_step(model.params, model.grads, state, cfg.learning_rate)
+            del x_epoch, xb  # so the next epoch's batch is drawn with this one freed
 
             val_p = model.predict_proba(val.images, chunk=cfg.batch_size)
             val_loss = float(bce_loss(val_p, val.labels).mean())

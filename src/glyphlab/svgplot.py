@@ -106,10 +106,11 @@ def heatmap_svg(matrix, ribbon, class_names, title: str = "") -> str:
     heads = [f'<rect x="{x}" y="' for x in offsets]
     fills = [f'#{s:02x}{s:02x}{s:02x}"/>' for s in range(256)]
 
+    # One string per grid row, so the n^2 cell strings never all exist.
     lines = _header(title)
     for y, row in zip(offsets, shades):
         mid = f'{y}" width="{size}" height="{size}" fill="'
-        lines.extend([head + mid + fills[s] for head, s in zip(heads, row)])
+        lines.append("\n".join([head + mid + fills[s] for head, s in zip(heads, row)]))
     for i in range(n):  # ribbons: left edge and top edge
         c = colors[ribbon[i]]
         lines.append(
@@ -127,8 +128,8 @@ def heatmap_svg(matrix, ribbon, class_names, title: str = "") -> str:
             f'<text x="{WIDTH - 38}" y="{ly + 9}" font-size="11" '
             f'font-family="sans-serif">{_escape(str(name))}</text>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += ["</svg>", ""]  # the empty line ends the file with a newline, without a copy
+    return "\n".join(lines)
 
 
 def roc_svg(curves, title: str = "") -> str:

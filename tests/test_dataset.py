@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from glyphlab import (
     write_gly,
     write_pgm,
 )
+from glyphlab.dataset import content_order
 
 
 def pgm_bytes(width, height, pixels):
@@ -277,3 +279,145 @@ class TestLabeledDataset:
         assert sub.class_names == ("a", "c")
         assert set(sub.labels.tolist()) <= {0, 1}
         assert sub.n == int(np.sum(ds.labels != 1))
+
+    def test_subset_by_classes_matches_per_row_relabel(self):
+        ds = random_dataset(Rng(12), 60, n_classes=5)
+        for names in (["e", "b", "a"], ["b", "d"], ["d", "b"], ["a", "b", "c", "d", "e"], ["c"]):
+            wanted = sorted(names)
+            old_ids = [ds.class_names.index(name) for name in wanted]
+            remap = {old: new for new, old in enumerate(old_ids)}
+            keep = np.isin(ds.labels, old_ids)
+            want = [remap[int(l)] for l in ds.labels[keep]]
+            sub = ds.subset_by_classes(names)
+            assert sub.labels.dtype == np.int64
+            assert sub.labels.tolist() == want
+            assert sub.class_names == tuple(wanted)
+            assert sub.images.tobytes() == ds.images[keep].tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -1e-300]
+    )
+    def test_intensity_outside_unit_interval_rejected(self, bad):
+        images = np.full((3, 2, 2), 0.5)
+        images[1, 0, 1] = bad
+        with pytest.raises(ArgumentError) as err:
+            LabeledDataset(images, np.array([0, 1, 0]), ("a", "b"))
+        assert str(err.value) == "image intensities must be finite and within [0, 1]"
+
+    def test_negative_zero_intensity_accepted(self):
+        images = np.full((2, 2, 2), -0.0)
+        images[1] = 1.0
+        ds = LabeledDataset(images, np.array([0, 1]), ("a", "b"))
+        assert np.signbit(ds.images[0]).all()
+
+
+def reference_content_order(ds):
+    """content_order as a Python sort on (label, pixel bytes) keys."""
+    return sorted(range(ds.n), key=lambda i: (int(ds.labels[i]), ds.images[i].tobytes()))
+
+
+def from_low_bytes(low, rest=0.25):
+    """Float64 pixels equal to `rest` except for their lowest mantissa byte."""
+    base = np.frombuffer(np.float64(rest).tobytes(), dtype=np.uint8)
+    raw = np.tile(base, (len(low), 1))
+    raw[:, 0] = low
+    return raw.view(np.float64)[:, 0]
+
+
+class TestContentOrder:
+    def check(self, ds):
+        got = content_order(ds)
+        assert got.tolist() == reference_content_order(ds)
+
+    def test_random_images_with_ties_and_duplicates(self):
+        rng = Rng(21)
+        for trial in range(10):
+            ds = random_dataset(rng, 1 + rng.randrange(40), n_classes=1 + rng.randrange(3))
+            dup = np.concatenate([ds.images, ds.images[::2], ds.images[:3]])
+            labels = np.concatenate([ds.labels, ds.labels[::2], np.zeros(len(ds.images[:3]), dtype=np.int64)])
+            self.check(LabeledDataset(dup, labels, ds.class_names))
+
+    def test_all_rows_equal_keeps_index_order_within_label(self):
+        labels = np.array([1, 0, 1, 0, 0, 1])
+        self.check(LabeledDataset(np.full((6, 3, 3), 0.5), labels, ("a", "b")))
+
+    def test_signed_zero_sorts_by_its_bytes(self):
+        images = np.array([0.0, -0.0, 0.0, -0.0, 1.0]).reshape(5, 1, 1)
+        ds = LabeledDataset(images, np.zeros(5, dtype=np.int64), ("a",))
+        self.check(ds)
+        assert content_order(ds).tolist() == [0, 2, 1, 3, 4]  # byte 6: 0x00 in -0.0, 0xf0 in 1.0
+
+    def test_bytes_at_or_above_0x80_sort_unsigned(self):
+        low = [0x80, 0x7F, 0xFF, 0x00, 0x81]
+        ds = LabeledDataset(
+            from_low_bytes(low).reshape(5, 1, 1), np.zeros(5, dtype=np.int64), ("a",)
+        )
+        self.check(ds)
+        assert content_order(ds).tolist() == [3, 1, 0, 4, 2]
+
+    def test_later_pixels_break_ties(self):
+        images = np.zeros((4, 1, 2))
+        images[:, 0, 1] = from_low_bytes([0x90, 0x10, 0x90, 0x10])
+        self.check(LabeledDataset(images, np.array([0, 0, 1, 1]), ("a", "b")))
+
+    def test_non_contiguous_images(self):
+        ds = random_dataset(Rng(22), 25, h=4, w=6)
+        view = LabeledDataset(ds.images[:, ::-1, ::2], ds.labels, ds.class_names)
+        assert not view.images.flags.c_contiguous
+        self.check(view)
+
+    def test_empty_dataset(self):
+        ds = LabeledDataset(np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64), ("a",))
+        assert content_order(ds).tolist() == []
+
+    def test_images_without_pixels_order_by_label(self):
+        ds = LabeledDataset(np.zeros((4, 0, 3)), np.array([1, 0, 1, 0]), ("a", "b"))
+        self.check(ds)
+
+
+def reference_write_gly(ds):
+    """GLY1 bytes built with full-size float64 temporaries and tobytes."""
+    blob = bytearray(b"GLY1")
+    blob += struct.pack("<IIIII", 1, ds.n, ds.images.shape[1], ds.images.shape[2], len(ds.class_names))
+    for name in ds.class_names:
+        enc = name.encode("utf-8")
+        blob += struct.pack("<H", len(enc)) + enc
+    blob += ds.labels.astype("<u2").tobytes()
+    blob += np.floor(ds.images * 255.0 + 0.5).astype(np.uint8).tobytes()
+    return bytes(blob)
+
+
+class TestGlyBytes:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_write_matches_reference_bitwise(self, n):
+        rng = Rng(50 + n)
+        k = np.array([rng.randrange(256) for _ in range(n * 3 * 5)], dtype=np.float64)
+        halves = np.minimum(k + 0.5, 255.0)
+        for grid in (k / 255.0, halves / 255.0):
+            labels = np.array([rng.randrange(3) for _ in range(n)], dtype=np.int64)
+            ds = LabeledDataset(grid.reshape(n, 3, 5), labels, ("a", "b", "é"))
+            buf = io.BytesIO()
+            count = write_gly(ds, buf)
+            want = reference_write_gly(ds)
+            assert buf.getvalue() == want and count == len(want)
+            back = read_gly(io.BytesIO(want))
+            pixels = np.frombuffer(want, dtype=np.uint8, offset=len(want) - n * 15)
+            ref = pixels.astype(np.float64).reshape(n, 3, 5) / 255.0
+            assert back.images.tobytes() == ref.tobytes()
+
+    def test_ingest_matches_per_image_scaling_bitwise(self, tmp_path):
+        rng = Rng(60)
+        sources = []
+        for cname in ("B", "A"):
+            d = tmp_path / cname
+            d.mkdir()
+            for i in range(5):
+                w, h = 3 + rng.randrange(6), 3 + rng.randrange(6)
+                px = [rng.randrange(256) for _ in range(w * h)]
+                (d / f"g{i}.pgm").write_bytes(pgm_bytes(w, h, px))
+        for cname in ("A", "B"):
+            for i in range(5):
+                img = load_pgm((tmp_path / cname / f"g{i}.pgm").read_bytes())
+                sources.append(resize_bilinear(img, 7, 7).pixels.astype(np.float64) / 255.0)
+        ds = ingest_dir(tmp_path, side=7)
+        assert ds.images.tobytes() == np.stack(sources).tobytes()

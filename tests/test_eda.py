@@ -128,7 +128,34 @@ def random_distance_matrix(rng, n):
     return pairwise_euclidean(rng.uniform_array((n, 3), -5.0, 5.0))
 
 
+def reference_pairwise_euclidean(x):
+    """pairwise_euclidean with its squared norms taken over the whole
+    n x features square at once."""
+    n = x.shape[0]
+    pad = -n % 8
+    xp = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
+    sq = np.sum(x * x, axis=1)
+    gram = (xp @ xp.T)[:n, :n]
+    gram *= 2.0
+    d = sq[:, None] + sq[None, :]
+    d -= gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    d = d + d.T
+    d *= 0.5
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 class TestPairwiseEuclidean:
+    @pytest.mark.parametrize("n", [2, 63, 65, 150])
+    def test_blocked_norms_match_reference_bitwise(self, n):
+        base = Rng(40 + n).uniform_array((n, 2 * 70 + 1), 0.0, 1.0)
+        for x in (base[:, 1::2], np.asfortranarray(base[:, :70]), base[::-1, :70]):
+            assert not x.flags.c_contiguous
+            got = pairwise_euclidean(x).d
+            assert got.tobytes() == reference_pairwise_euclidean(x).tobytes()
+
     def test_identical_rows_distance_zero(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
         assert pairwise_euclidean(x).d[0, 1] == 0.0

@@ -1,0 +1,88 @@
+"""Memory budgets: each command holds at most one float64 copy of its
+dataset, and the helpers it calls build no full-size temporaries.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts
+them next to Python objects. Each test bounds the peak of one call above
+what was already allocated when it started.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from glyphlab import LabeledDataset, Rng, ingest_dir, pairwise_euclidean, read_gly, write_gly
+from glyphlab.augment import preset
+from glyphlab.models import mlr_train
+from glyphlab.models.config import mlr_defaults
+
+
+def traced_peak(fn, *args):
+    """(result, bytes at the peak of fn(*args) above the bytes before)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def grid_dataset(n, side, n_classes=2, seed=0):
+    """Images on the 8-bit grid, as read_gly returns them."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(n, side, side)).astype(np.float64) / 255.0
+    labels = np.arange(n) % n_classes
+    return LabeledDataset(images, labels, tuple("abcdefgh"[:n_classes]))
+
+
+def test_read_gly_holds_one_float_copy(tmp_path):
+    ds = grid_dataset(300, 32)
+    path = tmp_path / "d.gly"
+    size = write_gly(ds, path)
+    back, peak = traced_peak(read_gly, path)
+    assert back.images.tobytes() == ds.images.tobytes()
+    assert peak <= 1.10 * (size + ds.images.nbytes)
+
+
+def test_write_gly_rounds_in_blocks(tmp_path):
+    ds = grid_dataset(300, 32)
+    size, peak = traced_peak(write_gly, ds, tmp_path / "d.gly")
+    block = 64 * 32 * 32 * 8
+    assert block < ds.images.nbytes / 4  # one float64 copy would break the bound
+    assert peak <= size + block + 64 * 1024
+
+
+def test_ingest_dir_holds_one_float_copy(tmp_path):
+    rng = Rng(3)
+    n, side = 120, 32
+    for i in range(n):
+        d = tmp_path / ("a" if i % 2 else "b")
+        d.mkdir(exist_ok=True)
+        px = bytes(rng.randrange(256) for _ in range(24 * 24))
+        (d / f"{i:03d}.pgm").write_bytes(b"P5\n24 24\n255\n" + px)
+    ds, peak = traced_peak(ingest_dir, tmp_path, side)
+    assert ds.n == n
+    # one float64 copy plus two u8 ones (the rasters and their stack)
+    assert peak <= 1.25 * ds.images.nbytes + 2 * n * side * side + 64 * 1024
+
+
+def test_pairwise_euclidean_builds_no_row_by_feature_square():
+    n, f = 256, 4096  # n is a multiple of 8, so the Gram product pads nothing
+    x = np.random.default_rng(1).random((n, f))
+    _, peak = traced_peak(pairwise_euclidean, x)
+    square = n * n * 8
+    block = 64 * f * 8
+    bound = block + 4 * square + 64 * 1024
+    assert bound < x.nbytes
+    assert peak <= bound
+
+
+def test_mlr_train_holds_one_augmented_copy():
+    train = grid_dataset(600, 32, seed=2)
+    val = grid_dataset(20, 32, seed=3)
+    cfg = mlr_defaults(epochs=3, augment_policy=preset("lossy"), seed=4)
+    _, peak = traced_peak(mlr_train, train, val, cfg)
+    # the content-ordered copy and one augmented batch, never last epoch's too
+    assert peak < 2.5 * train.images.nbytes

@@ -76,7 +76,7 @@ class TestHeatmapSvg:
 
     def test_shade_spread_below_256_cells(self):
         rng = Rng(3)
-        for n in (1, 7, 37, 200):
+        for n in (1, 2, 7, 37, 65, 200):
             m = rng.uniform_array((n, n), 0.0, 9.0)
             assert_same_svg(m, [i % 2 for i in range(n)])
 
