@@ -82,7 +82,10 @@ class CnnModel:
 
     def predict_proba(self, images: Tensor, chunk: int = 32) -> Tensor:
         """Scalar probability per image, evaluated in memory-bounded chunks
-        by forward-only convolutions (no full-chunk patch matrix)."""
+        by forward-only convolutions, which keep no input for a backward;
+        after it, backward raises DimensionError until the next training
+        forward. Its patch buffers are run-sized and are the ones a
+        training step at the same batch already allocated."""
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected (n, h, w) images, got shape {x.shape}")

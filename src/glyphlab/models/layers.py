@@ -24,6 +24,14 @@ when an image has more):
   same bits, but 2-thread OpenBLAS touches scratch that grows with its
   rows (53 MB for conv2's 32,768 rows at batch 32, 64x64; 0.4 MB on one
   thread).
+- backward unrolls each run's patches again, from the input that the
+  training forward kept, and adds the run's weight gradient
+  patches.T @ grad to the layer's, in run order. Keeping the patches
+  from forward instead would hold a full-batch matrix from forward to
+  backward (72 MiB for conv2 of the 64x64 net at batch 32). The sum of
+  per-run products rounds differently from the one full-batch product
+  it replaced, since numpy's matmul cannot accumulate into its output
+  (no GEMM with beta = 1); so training bits changed once, with it.
 - col2im computes a run's patch gradients into a run-sized buffer and
   scatters them onto the input gradient through clipped slices, in tap
   order, so no full-batch patch-gradient matrix is ever built.
@@ -39,13 +47,13 @@ skips the patch-gradient products and the scatter.
 Large arrays live in per-layer buffers keyed by shape, which spares
 re-faulting their pages on every call. Full-batch: a convolution's
 product, the ReLU output (pool-sized in the reference net, which runs
-ReLU after the pool), the max-pool input gradient, and a
-convolution's patch matrix when a backward follows (72 MiB for the
-32->32 layer at batch 32 and 32x32); with forward_only set, as
-CnnModel.predict_proba sets it, one run of patches. Run-sized: the
-bordered run and the run of patch gradients. An array a layer returns
-is therefore only valid until that layer's next forward or backward:
-consume it first, as every trainer does.
+ReLU after the pool) and the max-pool input gradient. Run-sized: a
+convolution's bordered run, its patches and its patch gradients,
+training or not. An array a layer returns is therefore only valid
+until that layer's next forward or backward: consume it first, as
+every trainer does. Layers keep references to their inputs, not
+copies, so an input must stay unchanged until the backward that
+follows its forward.
 """
 
 from __future__ import annotations
@@ -66,6 +74,13 @@ def _pooled(store: dict, name: str, shape, alloc=np.empty) -> np.ndarray:
     if buf is None or buf.shape != shape:
         buf = store[name] = alloc(shape)
     return buf
+
+
+def _cached(value, layer: str):
+    """value, the forward cache a backward reads, unless no forward set it."""
+    if value is None:
+        raise DimensionError(f"{layer} backward needs a forward first")
+    return value
 
 
 def _shifts(extent: int):
@@ -108,14 +123,16 @@ class Conv2d(Layer):
         + sum_{c, di, dj} weights[o, c, di, dj] * x[b, i+di-1, j+dj-1, c]
     with out-of-range x reading as 0.
 
-    forward unrolls the patches run by run and multiplies each run by
-    the weights (see the module docstring). A training forward keeps
-    them in one full-batch (n*h*w, 9*in) matrix, from which backward
-    takes the weight gradient in one product; with forward_only set,
-    forward keeps one run and backward raises DimensionError. With
-    input_grad False, backward accumulates the parameter gradients only
-    and returns a read-only all-NaN array of the input's shape in place
-    of the input gradient.
+    forward unrolls the patches run by run into one run-sized buffer and
+    multiplies each run by the weights. A training forward keeps a
+    reference to its input, from which backward unrolls each run again
+    and adds the run's product to the weight gradient, so no full-batch
+    patch matrix is ever kept (see the module docstring, also for why
+    that sum's bits differ from one full-batch product's). With
+    forward_only set, forward keeps nothing and backward raises
+    DimensionError. With input_grad False, backward accumulates the
+    parameter gradients only and returns a read-only all-NaN array of
+    the input's shape in place of the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -130,12 +147,23 @@ class Conv2d(Layer):
         self.input_grad = True
         self.forward_only = False
         self._pool: dict = {}
-        self._cols = None
-        self._in_shape = None
+        self._x = None
 
     def _wmat(self) -> Tensor:
         # (9*in, out) in the patch row order: taps row-major, channels fastest.
         return self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
+
+    def _patches(self, x: Tensor, a: int, b: int) -> Tensor:
+        """Images a:b of x unrolled into the leading rows of the run buffer."""
+        n, h, w, c = x.shape
+        run = self._pool["border"][: b - a]
+        run[:, 1:-1, 1:-1, :] = x[a:b]
+        # Patch (i, j)'s tap row di is run[:, i + di, j : j + 3] flattened.
+        s0, s1, s2, s3 = run.strides
+        taps = as_strided(run, (b - a, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
+        patches = self._pool["run_cols"][: (b - a) * h * w]
+        np.copyto(patches.reshape(taps.shape), taps)
+        return patches
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -143,66 +171,52 @@ class Conv2d(Layer):
                 f"conv expects (n, h, w, {self.in_channels}), got {x.shape}"
             )
         n, h, w, c = x.shape
-        self._in_shape = x.shape
-
         runs = _runs(n, h * w)
         longest = runs[-1] - runs[-2]
-        border = _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
-        if self.forward_only:
-            # No backward reads the patches, so each run reuses the same
-            # rows: the leading rows of a pooled full-batch matrix, if any.
-            cols = self._pool.get("cols")
-            if cols is None or len(cols) < longest * h * w:
-                cols = _pooled(self._pool, "run_cols", (longest * h * w, 9 * c))
-            self._cols = None
-        else:
-            cols = self._cols = _pooled(self._pool, "cols", (n * h * w, 9 * c))
+        _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
+        _pooled(self._pool, "run_cols", (longest * h * w, 9 * c))
         out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
         wmat = self._wmat()
-        # Patch (i, j)'s tap row di is border[b, i + di, j : j + 3] flattened.
-        s0, s1, s2, s3 = border.strides
         for a, b in zip(runs, runs[1:]):
-            run = border[: b - a]
-            run[:, 1:-1, 1:-1, :] = x[a:b]
-            taps = as_strided(run, (b - a, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
-            first = 0 if self.forward_only else a * h * w
-            patches = cols[first : first + (b - a) * h * w]
-            np.copyto(patches.reshape(taps.shape), taps)
-            np.matmul(patches, wmat, out=out[a * h * w : b * h * w])
+            np.matmul(self._patches(x, a, b), wmat, out=out[a * h * w : b * h * w])
         out += self.bias
+        self._x = None if self.forward_only else x
         return out.reshape(n, h, w, self.out_channels)
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        if self._cols is None:
+        x = self._x
+        if x is None:
             raise DimensionError(
                 "conv backward needs a training forward first: the last forward "
-                "was forward-only, or its patches were spent by an earlier backward"
+                "was forward-only, or its input was spent by an earlier backward"
             )
-        n, h, w, c = self._in_shape
+        n, h, w, c = x.shape
         if grad_out.shape != (n, h, w, self.out_channels):
             raise DimensionError(f"conv gradient shape {grad_out.shape} does not match forward")
+        self._x = None
         g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
-        gw = (self._cols.T @ g).reshape(3, 3, self.in_channels, self.out_channels)
-        self.grad_weights += gw.transpose(3, 2, 0, 1)
         self.grad_bias += g.sum(axis=0)
-        self._cols = None
-        if not self.input_grad:
-            return np.broadcast_to(np.nan, self._in_shape)
-
-        # Per run: its patch gradients, then scatter-add the in-grid taps
-        # onto +0.0 in tap order; a fresh gx keeps the peak RSS below a
-        # pooled one.
-        wt = self._wmat().T
+        # Per run: the weight gradient of its patches, then (with
+        # input_grad) its patch gradients, scatter-added onto +0.0 in tap
+        # order; a fresh gx keeps the peak RSS below a pooled one.
         runs = _runs(n, h * w)
-        gcols = _pooled(self._pool, "gcols", ((runs[-1] - runs[-2]) * h * w, 9 * c))
-        gx = np.zeros((n, h, w, c))
+        gw = self.grad_weights.transpose(2, 3, 1, 0)
+        if self.input_grad:
+            wt = self._wmat().T
+            gcols = _pooled(self._pool, "gcols", ((runs[-1] - runs[-2]) * h * w, 9 * c))
+            gx = np.zeros((n, h, w, c))
+        else:
+            gx = np.broadcast_to(np.nan, x.shape)
         for a, b in zip(runs, runs[1:]):
-            g6 = np.matmul(g[a * h * w : b * h * w], wt, out=gcols[: (b - a) * h * w])
-            g6 = g6.reshape(b - a, h, w, 3, 3, c)
-            gx_run = gx[a:b]
-            for di, oi, xi in _shifts(h):
-                for dj, oj, xj in _shifts(w):
-                    gx_run[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
+            g_run = g[a * h * w : b * h * w]
+            gw += (self._patches(x, a, b).T @ g_run).reshape(gw.shape)
+            if self.input_grad:
+                g6 = np.matmul(g_run, wt, out=gcols[: (b - a) * h * w])
+                g6 = g6.reshape(b - a, h, w, 3, 3, c)
+                gx_run = gx[a:b]
+                for di, oi, xi in _shifts(h):
+                    for dj, oj, xj in _shifts(w):
+                        gx_run[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
         return gx
 
 
@@ -231,7 +245,7 @@ class MaxPool2x2(Layer):
         return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        out = self._out
+        out = _cached(self._out, "pool")
         if grad_out.shape != out.shape:
             raise DimensionError(f"pool gradient shape {grad_out.shape} does not match forward")
         n, h, w, c = self._x.shape
@@ -269,7 +283,7 @@ class Relu(Layer):
         return self._out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        return np.multiply(grad_out, self._out > 0.0, out=grad_out)
+        return np.multiply(grad_out, _cached(self._out, "relu") > 0.0, out=grad_out)
 
 
 class Flatten(Layer):
@@ -281,7 +295,7 @@ class Flatten(Layer):
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        return grad_out.reshape(self._in_shape)
+        return grad_out.reshape(_cached(self._in_shape, "flatten"))
 
 
 class Dense(Layer):
@@ -305,9 +319,10 @@ class Dense(Layer):
         return x @ self.weights.T + self.bias
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        if grad_out.shape != (self._x.shape[0], self.out_features):
+        x = _cached(self._x, "dense")
+        if grad_out.shape != (x.shape[0], self.out_features):
             raise DimensionError(f"dense gradient shape {grad_out.shape} does not match forward")
-        self.grad_weights += grad_out.T @ self._x
+        self.grad_weights += grad_out.T @ x
         self.grad_bias += grad_out.sum(axis=0)
         grad_x = grad_out @ self.weights
         self._x = None
@@ -328,4 +343,5 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        return grad_out * self._out * (1.0 - self._out)
+        out = _cached(self._out, "sigmoid")
+        return grad_out * out * (1.0 - out)

@@ -6,7 +6,7 @@ import pytest
 
 from glyphlab import DimensionError, Rng, reference_cnn
 from glyphlab.models.cnn import CnnModel, _bce_grad
-from glyphlab.models.layers import _ROWS, Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
+from glyphlab.models.layers import _ROWS, _runs, Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
 EPS = 1e-6
 REL_TOL = 1e-5
@@ -66,7 +66,9 @@ def naive_pool(x, g):
 class ReferenceConv2d(Conv2d):
     """The convolution as first written: im2col from a zero-padded copy of
     x, col2im by scatter-adding onto a zero-padded gradient, fresh arrays
-    throughout."""
+    throughout. The weight gradient is summed the way Conv2d sums it: one
+    product per run of _runs, added in run order (TestConvWeightGradient
+    bounds its distance from the one full-batch product)."""
 
     def forward(self, x):
         n, h, w, c = x.shape
@@ -86,8 +88,11 @@ class ReferenceConv2d(Conv2d):
     def backward(self, grad_out):
         n, h, w, c = self._in_shape
         g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
-        gw = (self._cols.T @ g).reshape(3, 3, self.in_channels, self.out_channels)
-        self.grad_weights += gw.transpose(3, 2, 0, 1)
+        runs = _runs(n, h * w)
+        for a, b in zip(runs, runs[1:]):
+            rows = slice(a * h * w, b * h * w)
+            gw = (self._cols[rows].T @ g[rows]).reshape(3, 3, self.in_channels, self.out_channels)
+            self.grad_weights += gw.transpose(3, 2, 0, 1)
         self.grad_bias += g.sum(axis=0)
         gcols = np.empty((n * h * w, 9 * c))
         np.matmul(g, self._wmat().T, out=gcols)
@@ -253,15 +258,18 @@ class TestConvMatchesReference:
 
     @pytest.mark.parametrize("batch, side, c_in", [(5, 32, 32), (2, 48, 1)])
     def test_run_buffers_hold_one_run(self, batch, side, c_in):
-        # The bordered images and the patch gradients are run-sized: at
-        # most _ROWS patch rows, or one image when an image has more.
+        # The bordered images, the patches and the patch gradients are
+        # run-sized: at most _ROWS patch rows, or one image when an image
+        # has more; the output is the only full-batch buffer.
         rng = np.random.default_rng(12)
         conv = Conv2d(c_in, 4)
         conv.forward(rng.normal(size=(batch, side, side, c_in)))
         conv.backward(rng.normal(size=(batch, side, side, 4)))
         images = max(1, _ROWS // (side * side))
         assert conv._pool["border"].shape == (images, side + 2, side + 2, c_in)
+        assert conv._pool["run_cols"].shape == (images * side * side, 9 * c_in)
         assert conv._pool["gcols"].shape == (images * side * side, 9 * c_in)
+        assert sorted(conv._pool) == ["border", "gcols", "out", "run_cols"]
 
     def test_bitwise_without_nans(self):
         rng = np.random.default_rng(5)
@@ -297,6 +305,32 @@ class TestConvMatchesReference:
         assert np.array_equal(bits(conv.grad_bias), bits(ref.grad_bias))
 
 
+class TestConvWeightGradient:
+    """The per-run weight gradient against the one full-batch product."""
+
+    # conv1 of the 64x64 net (one image per run) and its conv2 at batch 32.
+    @pytest.mark.parametrize("batch, side, c_in, c_out", [(5, 64, 1, 32), (32, 32, 32, 32)])
+    def test_close_to_full_batch_product(self, batch, side, c_in, c_out):
+        rng = np.random.default_rng([batch, side, c_in])
+        conv, ref = Conv2d(c_in, c_out), ReferenceConv2d(c_in, c_out)
+        x = rng.normal(size=(batch, side, side, c_in))
+        g = rng.normal(size=(batch, side, side, c_out)).reshape(-1, c_out)
+        assert len(_runs(batch, side * side)) > 2  # several runs
+        ref.forward(x)
+        conv.forward(x)
+        conv.backward(g.reshape(batch, side, side, c_out))
+
+        def to_weights(m):
+            return m.reshape(3, 3, c_in, c_out).transpose(3, 2, 0, 1)
+
+        full = to_weights(ref._cols.T @ g)
+        # Summing the same terms in another order moves each sum by a small
+        # multiple of eps times the sum of its terms' magnitudes (here about
+        # 0.1 eps); a missing or repeated run would move it by whole terms.
+        scale = to_weights(np.abs(ref._cols).T @ np.abs(g))
+        assert (np.abs(conv.grad_weights - full) <= np.finfo(float).eps * scale).all()
+
+
 class TestPredictProba:
     """Forward-only inference against the training forward, by bytes."""
 
@@ -313,10 +347,10 @@ class TestPredictProba:
         p = model.predict_proba(x, chunk=chunk)
         for conv in self._convs(model):
             # Only run-sized patch buffers: no full-chunk patch matrix.
-            rows = conv._in_shape[1] * conv._in_shape[2]
-            assert "cols" not in conv._pool
+            border = conv._pool["border"]
+            rows = (border.shape[1] - 2) * (border.shape[2] - 2)
             assert len(conv._pool["run_cols"]) <= max(_ROWS, rows)
-            assert not conv.forward_only
+            assert conv._x is None and not conv.forward_only
         want = np.concatenate(
             [model.forward(x[a : a + chunk, :, :, None]).copy() for a in range(0, n, chunk)]
         )
@@ -326,11 +360,14 @@ class TestPredictProba:
         model = reference_cnn(64, seed=33)
         x = np.random.default_rng(34).random((32, 64, 64))
         want = model.forward(x[:, :, :, None]).copy()
-        cols = [conv._pool["cols"] for conv in self._convs(model)]
+        model.backward(np.ones(32))
+        pools = [dict(conv._pool) for conv in self._convs(model)]
         assert np.array_equal(bits(model.predict_proba(x)), bits(want))
-        for conv, buf in zip(self._convs(model), cols):
-            assert conv._pool["cols"] is buf and "run_cols" not in conv._pool
-        # The last forward kept no patches, so there is nothing to backward.
+        # Inference after a training step allocates no patch buffer.
+        for conv, pool in zip(self._convs(model), pools):
+            assert conv._pool.keys() == pool.keys()
+            assert all(conv._pool[k] is buf for k, buf in pool.items())
+        # The last forward kept no input, so there is nothing to backward.
         with pytest.raises(DimensionError, match="training forward"):
             model.backward(np.zeros(32))
 
@@ -534,6 +571,18 @@ class TestDense:
             gx = d1.backward(relu.backward(d2.backward(np.ones((2, 1))))).copy()
             assert_grad_close(gx, central_diff(loss, x))
             assert_grad_close(d1.grad_weights, central_diff(loss, d1.weights))
+
+
+@pytest.mark.parametrize("layer, grad", [
+    (MaxPool2x2(), np.ones((1, 2, 2, 1))),
+    (Relu(), np.ones((1, 3))),
+    (Flatten(), np.ones((1, 4))),
+    (Dense(2, 1), np.ones((1, 1))),
+    (Sigmoid(), np.ones((1, 1))),
+], ids=["pool", "relu", "flatten", "dense", "sigmoid"])
+def test_backward_before_forward_raises(layer, grad):
+    with pytest.raises(DimensionError, match="needs a forward first"):
+        layer.backward(grad)
 
 
 class TestActivations:

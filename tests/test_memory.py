@@ -1,5 +1,6 @@
 """Memory budgets: each command holds at most one float64 copy of its
-dataset, and the helpers it calls build no full-size temporaries.
+dataset, the helpers it calls build no full-size temporaries, and a CNN
+training step keeps no full-batch patch matrix.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 them next to Python objects. Each test bounds the peak of one call above
@@ -10,10 +11,14 @@ import tracemalloc
 
 import numpy as np
 
-from glyphlab import LabeledDataset, Rng, ingest_dir, pairwise_euclidean, read_gly, write_gly
+from glyphlab import (
+    LabeledDataset, Rng, ingest_dir, pairwise_euclidean, read_gly, reference_cnn, write_gly,
+)
 from glyphlab.augment import preset
 from glyphlab.models import mlr_train
+from glyphlab.models.cnn import _bce_grad
 from glyphlab.models.config import mlr_defaults
+from glyphlab.models.layers import _ROWS, Conv2d
 
 
 def traced_peak(fn, *args):
@@ -86,3 +91,27 @@ def test_mlr_train_holds_one_augmented_copy():
     _, peak = traced_peak(mlr_train, train, val, cfg)
     # the content-ordered copy and one augmented batch, never last epoch's too
     assert peak < 2.5 * train.images.nbytes
+
+
+def test_cnn_training_step_keeps_run_sized_patches():
+    n = 16
+    model = reference_cnn(64, seed=5)
+    convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+    x = np.random.default_rng(6).random((n, 64, 64))
+    y = (np.arange(n) % 2).astype(np.float64)
+    # Inference first, so the step's traced peak leaves out the buffers
+    # a forward-only pass already holds at this batch.
+    model.predict_proba(x, chunk=n)
+
+    def step():
+        model.backward(_bce_grad(model.forward(x[:, :, :, None]), y))
+
+    _, peak = traced_peak(step)
+    for conv in convs:
+        border = conv._pool["border"]
+        rows = (border.shape[1] - 2) * (border.shape[2] - 2)
+        patch_bufs = [a for a in conv._pool.values() if a.ndim == 2 and a.shape[1] == 9 * conv.in_channels]
+        assert patch_bufs and all(len(a) <= max(_ROWS, rows) for a in patch_bufs)
+    # What full-batch patch matrices would hold: n * h * w rows of 9 * c.
+    full_batch = sum(n * (64 >> i) ** 2 * 9 * conv.in_channels * 8 for i, conv in enumerate(convs))
+    assert peak < full_batch
