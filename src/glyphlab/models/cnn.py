@@ -7,7 +7,11 @@ is 204,641 trainable parameters. A block is stored conv -> ReLU -> pool
 (the GMD1 order) but runs conv -> pool -> ReLU, so each ReLU sees a
 quarter of the values. Max commutes with ReLU, so the values match; a
 window whose max is positive routes its gradient to the same tap, and
-otherwise only a zero moves, which changes no sum's bits. Loss is
+otherwise only a zero moves, which changes no sum's bits. Each forward
+also pairs every conv with the pool right after it, so the conv pools
+its output run by run and routes the pooled gradient back itself (see
+the layers module); the pool's forward and backward still run, once
+each, and hand the pooled tensor through. Same bits again. Loss is
 binary cross-entropy; training augments each epoch's shuffled batch
 stream with fresh draws, keeps validation clean, and returns the
 parameters from the epoch with the lowest validation loss.
@@ -50,8 +54,23 @@ class CnnModel:
         return order
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.execution_order():
-            x = layer.forward(x)
+        order = self.execution_order()
+        # Pair each conv with the pool that directly follows it, for this
+        # forward only; each backward reads what its forward kept. A
+        # one-channel conv stays unpaired: numpy sums its single bias
+        # column pairwise, which a run-by-run carry cannot reproduce.
+        pairs = [
+            (conv, pool) for conv, pool in zip(order, order[1:])
+            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2x2) and conv.out_channels > 1
+        ]
+        for conv, pool in pairs:
+            conv.fuse_pool = pool.fused = True
+        try:
+            for layer in order:
+                x = layer.forward(x)
+        finally:
+            for conv, pool in pairs:
+                conv.fuse_pool = pool.fused = False
         return x.reshape(-1)
 
     def backward(self, grad_p: Tensor) -> None:
@@ -168,9 +187,7 @@ def cnn_train(
         raise ArgumentError(f"images must be square with side divisible by 32, got {h}x{w}")
 
     order = content_order(train)
-    images = train.images[order]
-    labels = train.labels[order].astype(np.float64)
-    n = len(images)
+    n = len(order)
 
     model = reference_cnn(h, seed=cfg.seed, class_names=train.class_names)
     state = rmsprop_init(model.params)
@@ -185,8 +202,10 @@ def cnn_train(
         for epoch in range(cfg.epochs):
             perm = list(range(n))
             shuffle_rng.shuffle(perm)
-            x_epoch = images[perm]
-            y_epoch = labels[perm]
+            # One gather from the caller's images, no content-ordered copy.
+            pick = order[perm]
+            x_epoch = train.images[pick]
+            y_epoch = train.labels[pick].astype(np.float64)
             x_epoch = augment_batch(x_epoch, cfg.augment_policy, cfg.seed, counter=epoch)
 
             loss_sum = 0.0

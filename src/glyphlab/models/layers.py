@@ -35,6 +35,15 @@ when an image has more):
 - col2im computes a run's patch gradients into a run-sized buffer and
   scatters them onto the input gradient through clipped slices, in tap
   order, so no full-batch patch-gradient matrix is ever built.
+- A conv that CnnModel pairs with the max-pool after it (fuse_pool)
+  pools each run's product as soon as it is in a run-sized buffer and
+  keeps one uint8 winning tap per window, so neither the full-batch
+  conv output nor the pool's full-batch input gradient exists (33.5 MB
+  each for block 1 of the 64x64 net at batch 32). Its backward routes
+  each run of the pooled gradient through the taps into that buffer.
+  The bias gradient carries its running column sums into the next run
+  as a leading row, which continues the row-by-row order of one
+  full-batch g.sum(axis=0), so every bit matches the unpaired layers.
 
 The runs are near-equal in length, not full runs plus a short rest: a
 product split by rows keeps the bits of the whole product only while
@@ -46,14 +55,15 @@ skips the patch-gradient products and the scatter.
 
 Large arrays live in per-layer buffers keyed by shape, which spares
 re-faulting their pages on every call. Full-batch: a convolution's
-product, the ReLU output (pool-sized in the reference net, which runs
-ReLU after the pool) and the max-pool input gradient. Run-sized: a
-convolution's bordered run, its patches and its patch gradients,
-training or not. An array a layer returns is therefore only valid
-until that layer's next forward or backward: consume it first, as
-every trainer does. Layers keep references to their inputs, not
-copies, so an input must stay unchanged until the backward that
-follows its forward.
+pooled output and winning taps when it is paired with its pool, else
+its product; the ReLU output (pool-sized in the reference net, which
+runs ReLU after the pool); and an unpaired max-pool's input gradient.
+Run-sized: a convolution's bordered run, its patches, its patch
+gradients and a paired one's product, training or not. An array a
+layer returns is therefore only valid until that layer's next forward
+or backward: consume it first, as every trainer does. Layers keep
+references to their inputs, not copies, so an input must stay
+unchanged until the backward that follows its forward.
 """
 
 from __future__ import annotations
@@ -69,10 +79,10 @@ from ..numerics import Tensor
 _ROWS = 2048
 
 
-def _pooled(store: dict, name: str, shape, alloc=np.empty) -> np.ndarray:
+def _pooled(store: dict, name: str, shape, alloc=np.empty, dtype=np.float64) -> np.ndarray:
     buf = store.get(name)
     if buf is None or buf.shape != shape:
-        buf = store[name] = alloc(shape)
+        buf = store[name] = alloc(shape, dtype)
     return buf
 
 
@@ -99,6 +109,48 @@ def _runs(n: int, rows_per_image: int) -> list:
     per_run = max(1, _ROWS // rows_per_image)
     count = max(1, -(-n // per_run))
     return [n * i // count for i in range(count + 1)]
+
+
+def _max_pool(x: Tensor, out: Tensor, taps=None) -> None:
+    """The 2x2 max of each window of x (m, h, w, c) into out (m, h/2, w/2,
+    c). With taps, also each window's winning tap as a uint8 0-3 in
+    row-major order: its first maximum, or its first NaN, as np.argmax
+    picks. A NaN tap makes its window's max NaN, so without a NaN in out
+    no tap needs the NaN test."""
+    m, h, w, c = x.shape
+    t = x.reshape(m, h // 2, 2, w // 2, 2, c)
+    np.maximum(t[:, :, 0, :, 0], t[:, :, 0, :, 1], out=out)
+    np.maximum(out, t[:, :, 1, :, 0], out=out)
+    np.maximum(out, t[:, :, 1, :, 1], out=out)
+    if taps is None:
+        return
+    # With lose_k = 1 where tap k neither equals the max nor is a NaN, the
+    # winning tap is lose_0 * (1 + lose_1 * (1 + lose_2)), built from the
+    # inside out in uint8 arithmetic (a masked copy per tap is ~8x slower).
+    has_nan = bool(np.isnan(out).any())
+    lose = np.empty(out.shape, dtype=bool)
+    taps.fill(1)
+    for k in (2, 1, 0):
+        tap = t[:, :, k // 2, :, k % 2]
+        np.not_equal(tap, out, out=lose)
+        if has_nan:
+            lose &= ~np.isnan(tap)
+        taps *= lose.view(np.uint8)
+        if k:
+            taps += 1
+
+
+def _unpool(grad: Tensor, taps, gx: Tensor) -> None:
+    """Route each window's gradient in grad (m, h/2, w/2, c) to its tap in
+    taps, writing gx (m, h, w, c). Bit patterns times 0 or 1 write an
+    exact +0.0 to the other three taps and keep a -0.0 or a NaN as it is."""
+    m, h, w, c = gx.shape
+    gt = gx.reshape(m, h // 2, 2, w // 2, 2, c)
+    gbits = np.asarray(grad, dtype=np.float64).view(np.int64)
+    take = np.empty(taps.shape, dtype=bool)
+    for k in range(4):
+        np.equal(taps, k, out=take)
+        np.multiply(gbits, take, out=gt[:, :, k // 2, :, k % 2].view(np.int64))
 
 
 class Layer:
@@ -133,6 +185,15 @@ class Conv2d(Layer):
     DimensionError. With input_grad False, backward accumulates the
     parameter gradients only and returns a read-only all-NaN array of
     the input's shape in place of the input gradient.
+
+    With fuse_pool set (CnnModel sets it for the span of a forward, when
+    a MaxPool2x2 follows this conv), forward returns the 2x2 max-pool of
+    the output, pooling each run as soon as its product is in, and keeps
+    each window's winning tap. The backward that follows then takes the
+    pooled gradient and routes each run of it to those taps in a
+    run-sized buffer. Values and bits are those of the conv and the pool
+    run one after the other, given more than one output channel (the
+    only convs CnnModel pairs).
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -146,8 +207,10 @@ class Conv2d(Layer):
         self.grads = [self.grad_weights, self.grad_bias]
         self.input_grad = True
         self.forward_only = False
+        self.fuse_pool = False
         self._pool: dict = {}
         self._x = None
+        self._taps = None
 
     def _wmat(self) -> Tensor:
         # (9*in, out) in the patch row order: taps row-major, channels fastest.
@@ -171,17 +234,33 @@ class Conv2d(Layer):
                 f"conv expects (n, h, w, {self.in_channels}), got {x.shape}"
             )
         n, h, w, c = x.shape
+        if self.fuse_pool and (h % 2 or w % 2):
+            raise DimensionError(f"pooling needs even extents, got {h}x{w}")
         runs = _runs(n, h * w)
         longest = runs[-1] - runs[-2]
         _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
         _pooled(self._pool, "run_cols", (longest * h * w, 9 * c))
-        out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
         wmat = self._wmat()
-        for a, b in zip(runs, runs[1:]):
-            np.matmul(self._patches(x, a, b), wmat, out=out[a * h * w : b * h * w])
-        out += self.bias
+        taps = None
+        if self.fuse_pool:
+            # Row 0 is left for backward's bias-gradient carry.
+            run_out = _pooled(self._pool, "run_out", (longest * h * w + 1, self.out_channels))
+            out = _pooled(self._pool, "pooled", (n, h // 2, w // 2, self.out_channels))
+            if not self.forward_only:
+                taps = _pooled(self._pool, "taps", out.shape, dtype=np.uint8)
+            for a, b in zip(runs, runs[1:]):
+                y = np.matmul(self._patches(x, a, b), wmat, out=run_out[1 : (b - a) * h * w + 1])
+                y += self.bias
+                _max_pool(y.reshape(b - a, h, w, -1), out[a:b], None if taps is None else taps[a:b])
+        else:
+            out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
+            for a, b in zip(runs, runs[1:]):
+                np.matmul(self._patches(x, a, b), wmat, out=out[a * h * w : b * h * w])
+            out += self.bias
+            out = out.reshape(n, h, w, self.out_channels)
         self._x = None if self.forward_only else x
-        return out.reshape(n, h, w, self.out_channels)
+        self._taps = taps
+        return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
         x = self._x
@@ -191,11 +270,15 @@ class Conv2d(Layer):
                 "was forward-only, or its input was spent by an earlier backward"
             )
         n, h, w, c = x.shape
-        if grad_out.shape != (n, h, w, self.out_channels):
+        taps = self._taps
+        if grad_out.shape != (taps.shape if taps is not None else (n, h, w, self.out_channels)):
             raise DimensionError(f"conv gradient shape {grad_out.shape} does not match forward")
-        self._x = None
-        g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
-        self.grad_bias += g.sum(axis=0)
+        self._x = self._taps = None
+        if taps is None:
+            g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
+            gb = g.sum(axis=0)
+        else:
+            run_out = self._pool["run_out"]
         # Per run: the weight gradient of its patches, then (with
         # input_grad) its patch gradients, scatter-added onto +0.0 in tap
         # order; a fresh gx keeps the peak RSS below a pooled one.
@@ -208,7 +291,21 @@ class Conv2d(Layer):
         else:
             gx = np.broadcast_to(np.nan, x.shape)
         for a, b in zip(runs, runs[1:]):
-            g_run = g[a * h * w : b * h * w]
+            if taps is None:
+                g_run = g[a * h * w : b * h * w]
+            else:
+                g_run = run_out[1 : (b - a) * h * w + 1]
+                _unpool(grad_out[a:b], taps[a:b], g_run.reshape(b - a, h, w, -1))
+                # The bias gradient continues the column sums of g.sum(axis=0)
+                # over the whole batch, which adds the rows in order from the
+                # first: the running sum goes in as a leading row, starting
+                # from the first run's rows (a +0.0 start would turn an all
+                # -0.0 column positive).
+                if a:
+                    run_out[0] = gb
+                    gb = run_out[: len(g_run) + 1].sum(axis=0)
+                else:
+                    gb = g_run.sum(axis=0)
             gw += (self._patches(x, a, b).T @ g_run).reshape(gw.shape)
             if self.input_grad:
                 g6 = np.matmul(g_run, wt, out=gcols[: (b - a) * h * w])
@@ -217,30 +314,40 @@ class Conv2d(Layer):
                 for di, oi, xi in _shifts(h):
                     for dj, oj, xj in _shifts(w):
                         gx_run[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
+        self.grad_bias += gb
         return gx
 
 
 class MaxPool2x2(Layer):
     """Non-overlapping 2x2 max. Each window's gradient goes to its first
     maximum in row-major order, or to its first NaN, as np.argmax picks;
-    every other input gets an exact +0.0."""
+    every other input gets an exact +0.0. forward keeps each window's
+    winning tap (one uint8), not its input.
+
+    With fused set (CnnModel sets it for the span of a forward, when the
+    Conv2d before this pool has pooled its own output), forward hands its
+    input through, and so does the backward that follows that forward:
+    the conv routes the gradient through its own taps.
+    """
 
     def __init__(self):
+        self.fused = False
         self._pool: dict = {}
-        self._x = None
         self._out = None
+        self._taps = None
 
     def forward(self, x: Tensor) -> Tensor:
+        if self.fused:
+            self._out, self._taps = x, None
+            return x
         if x.ndim != 4:
             raise DimensionError(f"pool expects (n, h, w, c), got {x.shape}")
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise DimensionError(f"pooling needs even extents, got {h}x{w}")
-        taps = x.reshape(n, h // 2, 2, w // 2, 2, c)
-        out = np.maximum(taps[:, :, 0, :, 0], taps[:, :, 0, :, 1])
-        np.maximum(out, taps[:, :, 1, :, 0], out=out)
-        np.maximum(out, taps[:, :, 1, :, 1], out=out)
-        self._x = x
+        out = np.empty((n, h // 2, w // 2, c))
+        self._taps = np.empty(out.shape, dtype=np.uint8)
+        _max_pool(x, out, self._taps)
         self._out = out
         return out
 
@@ -248,28 +355,11 @@ class MaxPool2x2(Layer):
         out = _cached(self._out, "pool")
         if grad_out.shape != out.shape:
             raise DimensionError(f"pool gradient shape {grad_out.shape} does not match forward")
-        n, h, w, c = self._x.shape
-        taps = self._x.reshape(n, h // 2, 2, w // 2, 2, c)
-        gx = _pooled(self._pool, "gx", (n, h, w, c))
-        gtaps = gx.reshape(taps.shape)
-        # In row-major tap order, a tap takes the gradient where it holds the
-        # max (or a NaN) and no earlier tap took it; the last tap takes the
-        # rest. Bit patterns times 0 or 1 write exact +0.0 everywhere else.
-        # A NaN tap makes its window's max NaN, so without a NaN in out no
-        # tap needs the NaN test.
-        gbits = np.asarray(grad_out, dtype=np.float64).view(np.int64)
-        has_nan = bool(np.isnan(out).any())
-        take = np.empty(out.shape, dtype=bool)
-        left = np.ones(out.shape, dtype=bool)
-        for di, dj in ((0, 0), (0, 1), (1, 0)):
-            tap = taps[:, :, di, :, dj]
-            np.equal(tap, out, out=take)
-            if has_nan:
-                take |= np.isnan(tap)
-            take &= left
-            left ^= take
-            np.multiply(gbits, take, out=gtaps[:, :, di, :, dj].view(np.int64))
-        np.multiply(gbits, left, out=gtaps[:, :, 1, :, 1].view(np.int64))
+        if self._taps is None:
+            return grad_out
+        n, h, w, c = out.shape
+        gx = _pooled(self._pool, "gx", (n, 2 * h, 2 * w, c))
+        _unpool(grad_out, self._taps, gx)
         return gx
 
 

@@ -466,6 +466,152 @@ class TestExecutionOrder:
             assert np.array_equal(bits(a), bits(b))
 
 
+def block_step(conv, pool, x, g, fused):
+    """One forward and backward of conv -> pool, with the conv pooling its
+    own output (fused, as CnnModel.forward pairs them) or not: copies of
+    the pooled output, the input gradient and the parameter gradients."""
+    conv.fuse_pool = pool.fused = fused
+    try:
+        y = conv.forward(x)
+        assert y.shape[1] == (x.shape[1] // 2 if fused else x.shape[1])
+        out = pool.forward(y).copy()
+    finally:
+        conv.fuse_pool = pool.fused = False
+    conv.zero_grads()
+    gx = conv.backward(pool.backward(g.copy())).copy()
+    return [out, gx, conv.grad_weights.copy(), conv.grad_bias.copy()]
+
+
+class TestFusedConvPool:
+    """A conv that pools its own output run by run, against the conv and
+    the pool run one after the other, by bytes."""
+
+    @staticmethod
+    def _block(c_in, c_out, seed, integer=False):
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out)
+        if integer:  # exact small-integer outputs: many tied windows
+            conv.weights[...] = rng.integers(-1, 2, size=conv.weights.shape)
+            conv.bias[...] = rng.integers(-1, 2, size=c_out)
+        else:
+            conv.weights[...] = rng.normal(size=conv.weights.shape)
+            conv.bias[...] = rng.normal(size=c_out)
+        return conv, MaxPool2x2()
+
+    @staticmethod
+    def _compare(conv, pool, x, g):
+        got = block_step(conv, pool, x, g, fused=True)
+        want = block_step(conv, pool, x, g, fused=False)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(bits(a), bits(b))
+
+    @staticmethod
+    def _gradient(rng, shape):
+        g = signed_zero_nan_draw(rng, shape)
+        g[..., 1] = -0.0  # a channel whose pooled gradient is all -0.0
+        return g
+
+    # One run (8x8); runs of two and three images (32x32 at batch 5);
+    # one image per run, 32 runs (64x64 at batch 32, the net's conv1).
+    @pytest.mark.parametrize("batch, side, c_in, c_out", [
+        (3, 8, 2, 3), (5, 32, 32, 32), (32, 64, 1, 32),
+    ])
+    def test_bitwise_with_signed_zeros_and_nans(self, batch, side, c_in, c_out):
+        rng = np.random.default_rng([batch, side, c_in])
+        conv, pool = self._block(c_in, c_out, seed=side)
+        x = signed_zero_nan_draw(rng, (batch, side, side, c_in))
+        g = self._gradient(rng, (batch, side // 2, side // 2, c_out))
+        self._compare(conv, pool, x, g)
+        # Nearly every window meets a NaN at 32 input channels, so compare
+        # the same draws with their NaNs set to -0.0 as well.
+        self._compare(conv, pool, np.where(np.isnan(x), -0.0, x), np.where(np.isnan(g), -0.0, g))
+
+    @pytest.mark.parametrize("batch, side", [(3, 8), (32, 64)])
+    def test_bitwise_with_tied_windows(self, batch, side):
+        rng = np.random.default_rng([side, 7])
+        conv, pool = self._block(2, 4, seed=batch, integer=True)
+        x = tie_batch(side, (batch, side, side, 2))
+        g = self._gradient(rng, (batch, side // 2, side // 2, 4))
+        self._compare(conv, pool, x, g)
+        self._compare(conv, pool, np.where(np.isnan(x), 1.0, x), np.where(np.isnan(g), -0.0, g))
+
+    def test_bitwise_without_input_grad(self):
+        rng = np.random.default_rng(41)
+        conv, pool = self._block(1, 8, seed=42)
+        conv.input_grad = False
+        x = rng.normal(size=(4, 64, 64, 1))
+        g = self._gradient(rng, (4, 32, 32, 8))
+        got, want = (block_step(conv, pool, x, g, fused) for fused in (True, False))
+        assert np.isnan(got[1]).all()
+        for a, b in zip(got[::2] + got[3:], want[::2] + want[3:], strict=True):
+            assert np.array_equal(bits(a), bits(b))
+
+    def test_odd_extent_rejected(self):
+        conv, pool = self._block(1, 2, seed=0)
+        with pytest.raises(DimensionError, match="even extents"):
+            block_step(conv, pool, np.zeros((1, 3, 4, 1)), np.zeros((1, 1, 2, 2)), fused=True)
+
+
+class TestModelPairsConvAndPool:
+    @staticmethod
+    def _model(seed=0):
+        rng = np.random.default_rng(seed)
+        conv, relu, pool = Conv2d(1, 3), Relu(), MaxPool2x2()
+        conv.weights[...] = rng.normal(size=conv.weights.shape)
+        dense = Dense(12, 1)
+        dense.weights[...] = rng.normal(size=dense.weights.shape)
+        return CnnModel([conv, relu, pool, Flatten(), dense, Sigmoid()])
+
+    def test_pairs_for_one_forward_only(self):
+        model = self._model()
+        conv, pool = model.layers[0], model.layers[2]
+        x = np.random.default_rng(1).random((2, 4, 4, 1))
+        p = model.forward(x).copy()
+        assert conv._taps is not None and "out" not in conv._pool  # it ran fused
+        assert not conv.fuse_pool and not pool.fused  # and the pairing is over
+        model.backward(np.ones(2))
+        want, _ = list_order_step(model, x, np.zeros(2))
+        assert np.array_equal(bits(p), bits(want))
+        with pytest.raises(DimensionError):  # a failing forward unpairs too
+            model.forward(np.zeros((2, 4, 6, 1)))
+        assert not conv.fuse_pool and not pool.fused
+
+    def test_paired_pool_backward_before_forward_raises(self):
+        pool = self._model().layers[2]
+        with pytest.raises(DimensionError, match="needs a forward first"):
+            pool.backward(np.ones((2, 2, 2, 3)))
+
+    def test_conv_backward_after_forward_only_raises(self):
+        model = self._model()
+        conv = model.layers[0]
+        model.predict_proba(np.random.default_rng(2).random((2, 4, 4)))
+        assert conv._taps is None
+        with pytest.raises(DimensionError, match="training forward"):
+            conv.backward(np.ones((2, 2, 2, 3)))
+        with pytest.raises(DimensionError, match="training forward"):
+            model.backward(np.ones(2))
+
+    def test_replacing_the_pool_unpairs_the_conv(self):
+        model = self._model()
+        conv = model.layers[0]
+        x = np.random.default_rng(3).random((2, 4, 4, 1))
+        model.forward(x)
+        assert conv._taps is not None
+        model.layers[2] = Relu()
+        model.layers[4] = Dense(48, 1)
+        model.forward(x)
+        assert conv._taps is None and conv._pool["out"].shape == (2 * 4 * 4, 3)
+        model.backward(np.ones(2))  # every layer's backward matches its forward
+
+    def test_one_channel_conv_stays_unpaired(self):
+        # numpy sums a lone bias column pairwise, which per-run sums cannot
+        # reproduce; such a conv runs unfused to keep the bits.
+        conv = Conv2d(1, 1)
+        model = CnnModel([conv, Relu(), MaxPool2x2(), Flatten(), Dense(4, 1), Sigmoid()])
+        model.forward(np.ones((2, 4, 4, 1)))
+        assert conv._taps is None and "out" in conv._pool
+
+
 class TestMaxPool:
     def test_unique_max_and_routing(self):
         pool = MaxPool2x2()

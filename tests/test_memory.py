@@ -1,6 +1,7 @@
 """Memory budgets: each command holds at most one float64 copy of its
 dataset, the helpers it calls build no full-size temporaries, and a CNN
-training step keeps no full-batch patch matrix.
+training step keeps no full-batch patch matrix, conv output or pool
+gradient.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 them next to Python objects. Each test bounds the peak of one call above
@@ -18,7 +19,7 @@ from glyphlab.augment import preset
 from glyphlab.models import mlr_train
 from glyphlab.models.cnn import _bce_grad
 from glyphlab.models.config import mlr_defaults
-from glyphlab.models.layers import _ROWS, Conv2d
+from glyphlab.models.layers import _runs, Conv2d, MaxPool2x2
 
 
 def traced_peak(fn, *args):
@@ -32,6 +33,14 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak - base
+
+
+def arrays(layer):
+    """The arrays a layer holds, directly or in a dict of buffers."""
+    for v in vars(layer).values():
+        for a in v.values() if isinstance(v, dict) else [v]:
+            if isinstance(a, np.ndarray):
+                yield a
 
 
 def grid_dataset(n, side, n_classes=2, seed=0):
@@ -97,6 +106,7 @@ def test_cnn_training_step_keeps_run_sized_patches():
     n = 16
     model = reference_cnn(64, seed=5)
     convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+    pools = [layer for layer in model.layers if isinstance(layer, MaxPool2x2)]
     x = np.random.default_rng(6).random((n, 64, 64))
     y = (np.arange(n) % 2).astype(np.float64)
     # Inference first, so the step's traced peak leaves out the buffers
@@ -107,11 +117,22 @@ def test_cnn_training_step_keeps_run_sized_patches():
         model.backward(_bce_grad(model.forward(x[:, :, :, None]), y))
 
     _, peak = traced_peak(step)
-    for conv in convs:
-        border = conv._pool["border"]
-        rows = (border.shape[1] - 2) * (border.shape[2] - 2)
-        patch_bufs = [a for a in conv._pool.values() if a.ndim == 2 and a.shape[1] == 9 * conv.in_channels]
-        assert patch_bufs and all(len(a) <= max(_ROWS, rows) for a in patch_bufs)
-    # What full-batch patch matrices would hold: n * h * w rows of 9 * c.
-    full_batch = sum(n * (64 >> i) ** 2 * 9 * conv.in_channels * 8 for i, conv in enumerate(convs))
-    assert peak < full_batch
+    for i, (conv, pool) in enumerate(zip(convs, pools)):
+        side = 64 >> i
+        runs = _runs(n, side * side)
+        run_rows = (runs[-1] - runs[-2]) * side * side
+        # Patches, patch gradients and conv outputs hold one run of rows
+        # (plus backward's bias-gradient carry row), never n * h * w rows
+        # where the batch spans several runs (conv1-conv3).
+        assert all(len(a) <= run_rows + 1 for a in conv._pool.values() if a.ndim == 2)
+        # The pool keeps nothing larger than its output: no input gradient.
+        pooled = n * (side // 2) ** 2 * conv.out_channels
+        assert all(a.size <= pooled for a in arrays(pool))
+    # What the step adds to inference's buffers: each conv's patch-gradient
+    # run buffer and winning taps, and the input gradients of conv2 and
+    # conv3, which are alive together in conv2's backward; 1 MiB spare for
+    # run-sized temporaries. The unfused blocks peaked 27.6 MiB higher,
+    # with block 1's full-batch pool gradient (16 MiB) among them.
+    added = sum(conv._pool[k].nbytes for conv in convs for k in ("gcols", "taps") if k in conv._pool)
+    input_grads = 8 * n * (32 * 32 * 32 + 16 * 16 * 32)
+    assert peak < added + input_grads + 2**20
