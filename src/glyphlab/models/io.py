@@ -43,6 +43,7 @@ _TAG_DENSE = 4
 _TAG_SIGMOID = 5
 
 _PLAIN_TAGS = {MaxPool2x2: _TAG_POOL, Relu: _TAG_RELU, Flatten: _TAG_FLATTEN, Sigmoid: _TAG_SIGMOID}
+_PLAIN_LAYERS = {tag: cls for cls, tag in _PLAIN_TAGS.items()}
 
 
 def _pack_record(tag: int, weights=None, bias=None) -> bytes:
@@ -88,11 +89,15 @@ def save_model(model, sink) -> int:
     return write_sink(sink, blob)
 
 
-def _unpack_params(data: bytes, pos: int, tag: int):
+def _unpack_rank(data: bytes, pos: int):
     if pos + 4 > len(data):
         raise CorruptFileError("GMD1 record header truncated")
     (rank,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    return rank, pos + 4
+
+
+def _unpack_params(data: bytes, pos: int, tag: int):
+    rank, pos = _unpack_rank(data, pos)
     want = 4 if tag == _TAG_CONV else 2
     if rank != want:
         raise CorruptFileError(f"layer tag {tag} must have rank {want}, got {rank}")
@@ -163,16 +168,11 @@ def load_model(source):
             dense.bias[...] = bias
             layers.append(dense)
             total += weights.size + bias.size
-        elif tag in (_TAG_POOL, _TAG_RELU, _TAG_FLATTEN, _TAG_SIGMOID):
-            if pos + 4 > len(data):
-                raise CorruptFileError("GMD1 record header truncated")
-            (rank,) = struct.unpack_from("<I", data, pos)
-            pos += 4
+        elif tag in _PLAIN_LAYERS:
+            rank, pos = _unpack_rank(data, pos)
             if rank != 0:
                 raise CorruptFileError(f"layer tag {tag} must have rank 0, got {rank}")
-            layers.append(
-                {_TAG_POOL: MaxPool2x2, _TAG_RELU: Relu, _TAG_FLATTEN: Flatten, _TAG_SIGMOID: Sigmoid}[tag]()
-            )
+            layers.append(_PLAIN_LAYERS[tag]())
         else:
             raise CorruptFileError(f"unknown GMD1 layer tag {tag}")
 

@@ -7,18 +7,21 @@ gradients on the layer, and returns the gradient with respect to its
 input (Relu writes it over grad_out).
 
 Convolutions are 3x3 cross-correlations with same-size zero padding,
-evaluated as matrix products over unrolled patches (im2col); the input
-gradient is the matching patch-gradient scatter (col2im). Both walk the
+evaluated as matrix products over unrolled patches (im2col). The input
+gradient is a convolution too, the transposed one: the same-padding
+correlation of the output gradient with the kernel flipped in space and
+its channel axes swapped (Dumoulin and Visin 2016, section 4), so it
+runs through the same im2col and one product. Both directions walk the
 batch in runs of whole images of at most _ROWS patch rows (one image,
 when an image has more):
 
-- im2col copies a run's images into the interior of a run-sized
-  bordered buffer, whose border is zeroed once, when it is allocated.
-  In that buffer a patch row is three stretches of 3c contiguous
-  values, so one copy from a strided view writes the run's patch rows
-  front to back, where nine per-tap copies would each write it at a
-  stride. The bordered copy is one run, not the batch, so it stays
-  small.
+- im2col copies a run's images (or output gradients) into the interior
+  of a run-sized bordered buffer, whose border is zeroed once, when it
+  is allocated. In that buffer a patch row is three stretches of 3c
+  contiguous values, so one copy from a strided view writes the run's
+  patch rows front to back, where nine per-tap copies would each write
+  it at a stride. The bordered copy is one run, not the batch, so it
+  stays small.
 - forward multiplies each run's patches into that run's rows of the
   output as soon as they are written. A whole-batch product has the
   same bits, but 2-thread OpenBLAS touches scratch that grows with its
@@ -32,9 +35,13 @@ when an image has more):
   per-run products rounds differently from the one full-batch product
   it replaced, since numpy's matmul cannot accumulate into its output
   (no GEMM with beta = 1); so training bits changed once, with it.
-- col2im computes a run's patch gradients into a run-sized buffer and
-  scatters them onto the input gradient through clipped slices, in tap
-  order, so no full-batch patch-gradient matrix is ever built.
+- backward then unrolls the run's output gradient into the same patch
+  buffer, which is 9 max(c_in, c_out) columns wide for that, and
+  multiplies it by the flipped kernel straight into the run's rows of
+  the input gradient. The scatter-add (col2im) this replaced summed
+  each input's nine tap terms in another order, so its input gradient
+  differs by rounding (about 1e-15 relative), and the training bits
+  changed once, with it.
 - A conv that CnnModel pairs with the max-pool after it (fuse_pool)
   pools each run's product as soon as it is in a run-sized buffer and
   keeps one uint8 winning tap per window, so neither the full-batch
@@ -50,18 +57,20 @@ product split by rows keeps the bits of the whole product only while
 every piece runs through the BLAS general kernel, and a piece of one
 row goes to a matrix-vector kernel that rounds differently (very short
 pieces can also take a small-matrix kernel). A convolution whose input
-needs no gradient (the network's first) has input_grad set to False and
-skips the patch-gradient products and the scatter.
+needs no gradient (the network's first) has input_grad set to False:
+its backward skips the gradient's unroll and product, and its patch
+buffer is only 9 c_in columns wide.
 
 Large arrays live in per-layer buffers keyed by shape, which spares
 re-faulting their pages on every call. Full-batch: a convolution's
 pooled output and winning taps when it is paired with its pool, else
 its product; the ReLU output (pool-sized in the reference net, which
 runs ReLU after the pool); and an unpaired max-pool's input gradient.
-Run-sized: a convolution's bordered run, its patches, its patch
-gradients and a paired one's product, training or not. An array a
-layer returns is therefore only valid until that layer's next forward
-or backward: consume it first, as every trainer does. Layers keep
+Run-sized: a convolution's bordered run, its patches and a paired
+one's product, training or not, and once it has run a backward, its
+bordered run of the output gradient. An array a layer returns is
+therefore only valid until that layer's next forward or backward:
+consume it first, as every trainer does. Layers keep
 references to their inputs, not copies, so an input must stay
 unchanged until the backward that follows its forward.
 """
@@ -91,15 +100,6 @@ def _cached(value, layer: str):
     if value is None:
         raise DimensionError(f"{layer} backward needs a forward first")
     return value
-
-
-def _shifts(extent: int):
-    """For each tap offset d - 1 (d = 0, 1, 2) of a 3x3 window along one
-    axis: the output slice whose inputs lie inside the grid, and the
-    input slice it reads."""
-    for d in range(3):
-        lo, hi = max(0, 1 - d), min(extent, extent + 1 - d)
-        yield d, slice(lo, hi), slice(lo + d - 1, hi + d - 1)
 
 
 def _runs(n: int, rows_per_image: int) -> list:
@@ -180,7 +180,9 @@ class Conv2d(Layer):
     reference to its input, from which backward unrolls each run again
     and adds the run's product to the weight gradient, so no full-batch
     patch matrix is ever kept (see the module docstring, also for why
-    that sum's bits differ from one full-batch product's). With
+    that sum's bits differ from one full-batch product's). backward then
+    unrolls the run's output gradient into the same buffer and multiplies
+    it by the flipped kernel into the run's input gradient. With
     forward_only set, forward keeps nothing and backward raises
     DimensionError. With input_grad False, backward accumulates the
     parameter gradients only and returns a read-only all-NaN array of
@@ -216,15 +218,16 @@ class Conv2d(Layer):
         # (9*in, out) in the patch row order: taps row-major, channels fastest.
         return self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
 
-    def _patches(self, x: Tensor, a: int, b: int) -> Tensor:
-        """Images a:b of x unrolled into the leading rows of the run buffer."""
-        n, h, w, c = x.shape
-        run = self._pool["border"][: b - a]
-        run[:, 1:-1, 1:-1, :] = x[a:b]
+    def _patches(self, x: Tensor, border: str) -> Tensor:
+        """The images x (one run) unrolled, through the bordered run buffer
+        named border, into the leading elements of the patch buffer."""
+        m, h, w, c = x.shape
+        run = self._pool[border][:m]
+        run[:, 1:-1, 1:-1, :] = x
         # Patch (i, j)'s tap row di is run[:, i + di, j : j + 3] flattened.
         s0, s1, s2, s3 = run.strides
-        taps = as_strided(run, (b - a, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
-        patches = self._pool["run_cols"][: (b - a) * h * w]
+        taps = as_strided(run, (m, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
+        patches = self._pool["run_cols"].reshape(-1)[: m * h * w * 9 * c].reshape(-1, 9 * c)
         np.copyto(patches.reshape(taps.shape), taps)
         return patches
 
@@ -239,7 +242,9 @@ class Conv2d(Layer):
         runs = _runs(n, h * w)
         longest = runs[-1] - runs[-2]
         _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
-        _pooled(self._pool, "run_cols", (longest * h * w, 9 * c))
+        # backward unrolls the output gradient into the same buffer
+        width = 9 * max(c, self.out_channels) if self.input_grad else 9 * c
+        _pooled(self._pool, "run_cols", (longest * h * w, width))
         wmat = self._wmat()
         taps = None
         if self.fuse_pool:
@@ -249,13 +254,13 @@ class Conv2d(Layer):
             if not self.forward_only:
                 taps = _pooled(self._pool, "taps", out.shape, dtype=np.uint8)
             for a, b in zip(runs, runs[1:]):
-                y = np.matmul(self._patches(x, a, b), wmat, out=run_out[1 : (b - a) * h * w + 1])
+                y = np.matmul(self._patches(x[a:b], "border"), wmat, out=run_out[1 : (b - a) * h * w + 1])
                 y += self.bias
                 _max_pool(y.reshape(b - a, h, w, -1), out[a:b], None if taps is None else taps[a:b])
         else:
             out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
             for a, b in zip(runs, runs[1:]):
-                np.matmul(self._patches(x, a, b), wmat, out=out[a * h * w : b * h * w])
+                np.matmul(self._patches(x[a:b], "border"), wmat, out=out[a * h * w : b * h * w])
             out += self.bias
             out = out.reshape(n, h, w, self.out_channels)
         self._x = None if self.forward_only else x
@@ -280,14 +285,16 @@ class Conv2d(Layer):
         else:
             run_out = self._pool["run_out"]
         # Per run: the weight gradient of its patches, then (with
-        # input_grad) its patch gradients, scatter-added onto +0.0 in tap
-        # order; a fresh gx keeps the peak RSS below a pooled one.
+        # input_grad) its input gradient, the output gradient's patches,
+        # unrolled into the same buffer, times the flipped kernel. A fresh
+        # gx keeps the peak RSS below a pooled one.
         runs = _runs(n, h * w)
         gw = self.grad_weights.transpose(2, 3, 1, 0)
         if self.input_grad:
-            wt = self._wmat().T
-            gcols = _pooled(self._pool, "gcols", ((runs[-1] - runs[-2]) * h * w, 9 * c))
-            gx = np.zeros((n, h, w, c))
+            o = self.out_channels
+            wflip = self.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+            _pooled(self._pool, "gborder", (runs[-1] - runs[-2], h + 2, w + 2, o), np.zeros)
+            gx = np.empty((n, h, w, c))
         else:
             gx = np.broadcast_to(np.nan, x.shape)
         for a, b in zip(runs, runs[1:]):
@@ -306,14 +313,10 @@ class Conv2d(Layer):
                     gb = run_out[: len(g_run) + 1].sum(axis=0)
                 else:
                     gb = g_run.sum(axis=0)
-            gw += (self._patches(x, a, b).T @ g_run).reshape(gw.shape)
+            gw += (self._patches(x[a:b], "border").T @ g_run).reshape(gw.shape)
             if self.input_grad:
-                g6 = np.matmul(g_run, wt, out=gcols[: (b - a) * h * w])
-                g6 = g6.reshape(b - a, h, w, 3, 3, c)
-                gx_run = gx[a:b]
-                for di, oi, xi in _shifts(h):
-                    for dj, oj, xj in _shifts(w):
-                        gx_run[:, xi, xj, :] += g6[:, oi, oj, di, dj, :]
+                patches = self._patches(g_run.reshape(b - a, h, w, o), "gborder")
+                np.matmul(patches, wflip, out=gx[a:b].reshape(-1, c))
         self.grad_bias += gb
         return gx
 

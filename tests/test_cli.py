@@ -314,11 +314,14 @@ class TestTrainCommands:
     # takes all 30 at once) and 10 for validation, so no batch or half
     # batch is a multiple of 8. cnn-64: 20 training images at 64x64 in
     # batches of 13 and 7, so conv1's weight gradient sums one-image runs
-    # of 4,096 rows by 9 columns. mlr-1200: enough samples that a BLAS
-    # product summing over them splits the sum by thread count. evaluate:
+    # of 4,096 rows by 9 columns. cnn-64-b32: 32 training images at 64x64
+    # in one batch of 32, the benchmark's, so the input gradients of
+    # conv2 and conv3 multiply 2,048-row runs of gradient patches.
+    # mlr-1200: enough samples that a BLAS product summing over them
+    # splits the sum by thread count. evaluate:
     # 45 images at 64x64 are a chunk of 32 and a short one of 13, and
     # conv1-conv3 split each chunk into several runs.
-    @pytest.mark.parametrize("kind", ["cnn", "cnn-64", "mlr", "mlr-1200", "evaluate"])
+    @pytest.mark.parametrize("kind", ["cnn", "cnn-64", "cnn-64-b32", "mlr", "mlr-1200", "evaluate"])
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):
         from glyphlab import LabeledDataset, reference_cnn, save_model
 
@@ -328,8 +331,8 @@ class TestTrainCommands:
             write_gly(LabeledDataset(ds.images[:45], ds.labels[:45], ds.class_names), val)
             save_model(reference_cnn(64, seed=9, class_names=ds.class_names), tmp_path / "cnn.gmd")
         else:
-            per_class = {"cnn-64": 10, "mlr-1200": 600}.get(kind, 15)
-            side = 64 if kind == "cnn-64" else 32
+            per_class = {"cnn-64": 10, "cnn-64-b32": 16, "mlr-1200": 600}.get(kind, 15)
+            side = 64 if kind.startswith("cnn-64") else 32
             write_gly(make_shapes_dataset(per_class, side=side, seed=61, noise=0.1), train)
             write_gly(make_shapes_dataset(5, side=side, seed=62, noise=0.1), val)
         outputs = []
@@ -341,7 +344,7 @@ class TestTrainCommands:
             else:
                 argv = [f"train-{kind.partition('-')[0]}", "--train", str(train), "--val", str(val),
                         "--epochs", {"mlr": "20", "mlr-1200": "2"}.get(kind, "1"),
-                        "--batch", "13", "--seed", "8",
+                        "--batch", "32" if kind == "cnn-64-b32" else "13", "--seed", "8",
                         "--model-out", str(first), "--history-out", str(second)]
                 if kind != "mlr-1200":
                     argv += ["--augment", "lossy"]

@@ -63,23 +63,46 @@ def naive_pool(x, g):
     return out, gx
 
 
+def unroll(a):
+    """(n, h, w, k) -> (n * h * w, 9k) 3x3 same-padding patches, taps
+    row-major and channels fastest, from a zero-padded copy of a."""
+    n, h, w, k = a.shape
+    pad = np.zeros((n, h + 2, w + 2, k))
+    pad[:, 1:-1, 1:-1, :] = a
+    cols = np.empty((n, h, w, 3, 3, k))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, :, :, di, dj, :] = pad[:, di : di + h, dj : dj + w, :]
+    return cols.reshape(n * h * w, 9 * k)
+
+
+def scatter_input_grad(grad_out, weights):
+    """The conv input gradient by col2im: each output's patch gradient
+    scatter-added onto a zero-padded gradient, in tap order."""
+    o, c = weights.shape[:2]
+    n, h, w, _ = grad_out.shape
+    g = np.ascontiguousarray(grad_out).reshape(-1, o)
+    g6 = (g @ weights.transpose(2, 3, 1, 0).reshape(-1, o).T).reshape(n, h, w, 3, 3, c)
+    gpad = np.zeros((n, h + 2, w + 2, c))
+    for di in range(3):
+        for dj in range(3):
+            gpad[:, di : di + h, dj : dj + w, :] += g6[:, :, :, di, dj, :]
+    return gpad[:, 1:-1, 1:-1, :]
+
+
 class ReferenceConv2d(Conv2d):
-    """The convolution as first written: im2col from a zero-padded copy of
-    x, col2im by scatter-adding onto a zero-padded gradient, fresh arrays
-    throughout. The weight gradient is summed the way Conv2d sums it: one
+    """The convolution from zero-padded copies and fresh full-batch
+    arrays: im2col of x for forward, and for the input gradient im2col of
+    grad_out times the kernel flipped in space with its channel axes
+    swapped (TestConvInputGradient bounds its distance from the col2im
+    scatter). The weight gradient is summed the way Conv2d sums it: one
     product per run of _runs, added in run order (TestConvWeightGradient
     bounds its distance from the one full-batch product)."""
 
     def forward(self, x):
         n, h, w, c = x.shape
         self._in_shape = x.shape
-        pad = np.zeros((n, h + 2, w + 2, c))
-        pad[:, 1:-1, 1:-1, :] = x
-        cols = np.empty((n, h, w, 3, 3, c))
-        for di in range(3):
-            for dj in range(3):
-                cols[:, :, :, di, dj, :] = pad[:, di : di + h, dj : dj + w, :]
-        self._cols = cols.reshape(n * h * w, 9 * c)
+        self._cols = unroll(x)
         out = np.empty((n * h * w, self.out_channels))
         np.matmul(self._cols, self._wmat(), out=out)
         out += self.bias
@@ -94,15 +117,11 @@ class ReferenceConv2d(Conv2d):
             gw = (self._cols[rows].T @ g[rows]).reshape(3, 3, self.in_channels, self.out_channels)
             self.grad_weights += gw.transpose(3, 2, 0, 1)
         self.grad_bias += g.sum(axis=0)
-        gcols = np.empty((n * h * w, 9 * c))
-        np.matmul(g, self._wmat().T, out=gcols)
-        g6 = gcols.reshape(n, h, w, 3, 3, c)
-        gpad = np.zeros((n, h + 2, w + 2, c))
-        for di in range(3):
-            for dj in range(3):
-                gpad[:, di : di + h, dj : dj + w, :] += g6[:, :, :, di, dj, :]
+        wflip = self.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+        gx = np.empty((n * h * w, c))
+        np.matmul(unroll(g.reshape(n, h, w, -1)), wflip, out=gx)
         self._cols = None
-        return gpad[:, 1:-1, 1:-1, :]
+        return gx.reshape(n, h, w, c)
 
 
 def signed_zero_nan_draw(rng, shape):
@@ -211,7 +230,7 @@ class TestConvBackward:
 
 
 class TestConvMatchesReference:
-    """Clipped-slice im2col/col2im against the padded-copy reference, by bytes."""
+    """Run-buffer im2col against the padded-copy reference, by bytes."""
 
     @staticmethod
     def _pair(c_in, c_out, seed):
@@ -256,20 +275,32 @@ class TestConvMatchesReference:
         # the same draws with their NaNs set to -0.0 as well.
         self._step_and_compare(conv, ref, np.where(np.isnan(x), -0.0, x), np.where(np.isnan(g), -0.0, g))
 
+    # c_out below and above c_in.
     @pytest.mark.parametrize("batch, side, c_in", [(5, 32, 32), (2, 48, 1)])
     def test_run_buffers_hold_one_run(self, batch, side, c_in):
-        # The bordered images, the patches and the patch gradients are
-        # run-sized: at most _ROWS patch rows, or one image when an image
-        # has more; the output is the only full-batch buffer.
+        # The bordered images, the bordered output gradients and the
+        # patches are run-sized: at most _ROWS patch rows, or one image
+        # when an image has more; the output is the only full-batch buffer.
+        # The patches of x and of the output gradient share one buffer.
         rng = np.random.default_rng(12)
         conv = Conv2d(c_in, 4)
         conv.forward(rng.normal(size=(batch, side, side, c_in)))
         conv.backward(rng.normal(size=(batch, side, side, 4)))
         images = max(1, _ROWS // (side * side))
         assert conv._pool["border"].shape == (images, side + 2, side + 2, c_in)
-        assert conv._pool["run_cols"].shape == (images * side * side, 9 * c_in)
-        assert conv._pool["gcols"].shape == (images * side * side, 9 * c_in)
-        assert sorted(conv._pool) == ["border", "gcols", "out", "run_cols"]
+        assert conv._pool["gborder"].shape == (images, side + 2, side + 2, 4)
+        assert conv._pool["run_cols"].shape == (images * side * side, 9 * max(c_in, 4))
+        assert sorted(conv._pool) == ["border", "gborder", "out", "run_cols"]
+
+    def test_patch_buffer_without_input_grad(self):
+        # conv1 of the 64x64 net: only x is unrolled, so 9 c_in columns.
+        rng = np.random.default_rng(14)
+        conv = Conv2d(1, 32)
+        conv.input_grad = False
+        conv.forward(rng.normal(size=(3, 64, 64, 1)))
+        conv.backward(rng.normal(size=(3, 64, 64, 32)))
+        assert conv._pool["run_cols"].shape == (64 * 64, 9)
+        assert sorted(conv._pool) == ["border", "out", "run_cols"]
 
     def test_bitwise_without_nans(self):
         rng = np.random.default_rng(5)
@@ -329,6 +360,30 @@ class TestConvWeightGradient:
         # 0.1 eps); a missing or repeated run would move it by whole terms.
         scale = to_weights(np.abs(ref._cols).T @ np.abs(g))
         assert (np.abs(conv.grad_weights - full) <= np.finfo(float).eps * scale).all()
+
+
+class TestConvInputGradient:
+    """The transposed-convolution input gradient against the col2im scatter."""
+
+    # conv2-conv5 of the 64x64 net at batch 32.
+    @pytest.mark.parametrize("side, c_in, c_out", [(32, 32, 32), (16, 32, 64), (8, 64, 64), (4, 64, 128)])
+    def test_close_to_scatter(self, side, c_in, c_out):
+        rng = np.random.default_rng([side, c_in, c_out])
+        conv = Conv2d(c_in, c_out)
+        conv.weights[...] = rng.normal(size=conv.weights.shape)
+        g = rng.normal(size=(32, side, side, c_out))
+        g.reshape(-1)[rng.choice(g.size, 3, replace=False)] = np.nan
+        conv.forward(rng.normal(size=(32, side, side, c_in)))
+        gx = conv.backward(g.copy())
+        want = scatter_input_grad(g, conv.weights)
+        assert np.array_equal(np.isnan(gx), np.isnan(want))
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        # Both sum the same nine-tap terms, in other orders: each sum moves
+        # by a small multiple of eps times the sum of its terms' magnitudes,
+        # far below the 1e-13 bound; a wrong tap or channel would not.
+        scale = scatter_input_grad(np.abs(g), np.abs(conv.weights))
+        ok = ~np.isnan(want)
+        assert (np.abs(gx - want)[ok] <= 1e-13 * scale[ok]).all()
 
 
 class TestPredictProba:

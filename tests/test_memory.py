@@ -121,18 +121,18 @@ def test_cnn_training_step_keeps_run_sized_patches():
         side = 64 >> i
         runs = _runs(n, side * side)
         run_rows = (runs[-1] - runs[-2]) * side * side
-        # Patches, patch gradients and conv outputs hold one run of rows
-        # (plus backward's bias-gradient carry row), never n * h * w rows
-        # where the batch spans several runs (conv1-conv3).
+        # Patches (of x and of the output gradient) and conv outputs hold
+        # one run of rows (plus backward's bias-gradient carry row), never
+        # n * h * w rows where the batch spans several runs (conv1-conv3).
         assert all(len(a) <= run_rows + 1 for a in conv._pool.values() if a.ndim == 2)
         # The pool keeps nothing larger than its output: no input gradient.
         pooled = n * (side // 2) ** 2 * conv.out_channels
         assert all(a.size <= pooled for a in arrays(pool))
-    # What the step adds to inference's buffers: each conv's patch-gradient
-    # run buffer and winning taps, and the input gradients of conv2 and
-    # conv3, which are alive together in conv2's backward; 1 MiB spare for
-    # run-sized temporaries. The unfused blocks peaked 27.6 MiB higher,
-    # with block 1's full-batch pool gradient (16 MiB) among them.
-    added = sum(conv._pool[k].nbytes for conv in convs for k in ("gcols", "taps") if k in conv._pool)
+    # What the step adds to inference's buffers: each conv's bordered run
+    # of the output gradient and winning taps, and the input gradients of
+    # conv2 and conv3, which are alive together in conv2's backward; 1 MiB
+    # spare for run-sized temporaries. The unfused blocks peaked 27.6 MiB
+    # higher, with block 1's full-batch pool gradient (16 MiB) among them.
+    added = sum(conv._pool[k].nbytes for conv in convs for k in ("gborder", "taps") if k in conv._pool)
     input_grads = 8 * n * (32 * 32 * 32 + 16 * 16 * 32)
     assert peak < added + input_grads + 2**20
