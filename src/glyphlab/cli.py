@@ -315,16 +315,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-svg", required=True)
     p.set_defaults(func=cmd_distmap)
 
-    for kind, help_text, base in (
-        ("mlr", "train multinomial logistic regression", mlr_defaults()),
-        ("cnn", "train the binary convolutional network", cnn_defaults()),
+    for kind, help_text, base, batch_help in (
+        ("mlr", "train multinomial logistic regression", mlr_defaults(),
+         "ignored, as training is full-batch (must still be >= 1)"),
+        ("cnn", "train the binary convolutional network", cnn_defaults(),
+         "mini-batch size, also the validation chunk"),
     ):
         p = sub.add_parser(f"train-{kind}", help=help_text)
         p.add_argument("--train", required=True)
         p.add_argument("--val", required=True)
         p.add_argument("--augment", default="none", choices=["none", "lossless", "lossy"])
         p.add_argument("--epochs", type=int, default=base.epochs)
-        p.add_argument("--batch", type=int, default=base.batch_size)
+        p.add_argument("--batch", type=int, default=base.batch_size, help=batch_help)
         p.add_argument("--lr", type=float, default=base.learning_rate)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--model-out", required=True)

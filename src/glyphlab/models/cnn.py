@@ -3,15 +3,15 @@
 The reference network is a pyramid: five conv/pool blocks whose spatial
 extent halves while channels grow 1 -> 32 -> 32 -> 64 -> 64 -> 128,
 then a 128-unit dense layer and a sigmoid output. At 64x64 input that
-is 204,641 trainable parameters. A block is stored conv -> ReLU -> pool
-(the GMD1 order) but runs conv -> pool -> ReLU, so each ReLU sees a
-quarter of the values. Max commutes with ReLU, so the values match; a
-window whose max is positive routes its gradient to the same tap, and
-otherwise only a zero moves, which changes no sum's bits. Each forward
-also pairs every conv with the pool right after it, so the conv pools
+is 204,641 trainable parameters. Forward and backward walk the layers
+in their stored (GMD1) order, a block being conv -> ReLU -> pool. Each
+forward pairs every conv with the pool of its block, so the conv pools
 its output run by run and routes the pooled gradient back itself (see
-the layers module); the pool's forward and backward still run, once
-each, and hand the pooled tensor through. Same bits again. Loss is
+the layers module), the ReLU sees only the pooled quarter of the values,
+and the pool's forward and backward hand the pooled tensor through. Max
+commutes with ReLU, so the values are those of each layer run on its
+own; a window whose max is positive routes its gradient to the same tap,
+and otherwise only a zero moves, which changes no sum's bits. Loss is
 binary cross-entropy; training augments each epoch's shuffled batch
 stream with fresh draws, keeps validation clean, and returns the
 parameters from the epoch with the lowest validation loss.
@@ -44,29 +44,22 @@ class CnnModel:
             # backward discards the images' gradient, so it is never built
             self.layers[0].input_grad = False
 
-    def execution_order(self) -> list[Layer]:
-        """self.layers with each Relu that directly precedes a MaxPool2x2
-        moved after it; derived afresh on every call."""
-        order = list(self.layers)
-        for i in range(len(order) - 1):
-            if isinstance(order[i], Relu) and isinstance(order[i + 1], MaxPool2x2):
-                order[i], order[i + 1] = order[i + 1], order[i]
-        return order
-
     def forward(self, x: Tensor) -> Tensor:
-        order = self.execution_order()
-        # Pair each conv with the pool that directly follows it, for this
-        # forward only; each backward reads what its forward kept. A
-        # one-channel conv stays unpaired: numpy sums its single bias
-        # column pairwise, which a run-by-run carry cannot reproduce.
-        pairs = [
-            (conv, pool) for conv, pool in zip(order, order[1:])
-            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2x2) and conv.out_channels > 1
-        ]
+        # Pair each conv with the pool that follows it, directly or after
+        # one Relu, for this forward only; each backward reads what its
+        # forward kept. A one-channel conv stays unpaired: numpy sums its
+        # single bias column pairwise, which a run-by-run carry cannot
+        # reproduce.
+        layers = self.layers
+        pairs = []
+        for conv, nxt, nxt2 in zip(layers, layers[1:], layers[2:] + [None]):
+            pool = nxt2 if isinstance(nxt, Relu) else nxt
+            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2x2) and conv.out_channels > 1:
+                pairs.append((conv, pool))
         for conv, pool in pairs:
             conv.fuse_pool = pool.fused = True
         try:
-            for layer in order:
+            for layer in layers:
                 x = layer.forward(x)
         finally:
             for conv, pool in pairs:
@@ -75,7 +68,7 @@ class CnnModel:
 
     def backward(self, grad_p: Tensor) -> None:
         g = np.asarray(grad_p, dtype=np.float64).reshape(-1, 1)
-        for layer in reversed(self.execution_order()):
+        for layer in reversed(self.layers):
             g = layer.backward(g)
 
     @property
@@ -104,7 +97,10 @@ class CnnModel:
         by forward-only convolutions, which keep no input for a backward;
         after it, backward raises DimensionError until the next training
         forward. Its patch buffers are run-sized and are the ones a
-        training step at the same batch already allocated."""
+        training step at the same batch already allocated. A chunk below 1
+        raises ArgumentError."""
+        if chunk < 1:
+            raise ArgumentError(f"chunk must be >= 1, got {chunk}")
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected (n, h, w) images, got shape {x.shape}")

@@ -28,7 +28,8 @@ class TrainConfig:
 
 
 def mlr_defaults(**overrides) -> TrainConfig:
-    """Full-batch logistic-regression defaults: lr 0.1, l2 1e-4, 500 epochs."""
+    """Full-batch logistic-regression defaults: lr 0.1, l2 1e-4, 500 epochs.
+    mlr_train never reads batch_size, so its value here changes nothing."""
     base = dict(epochs=500, batch_size=1, learning_rate=0.1, l2=1e-4)
     base.update(overrides)
     return TrainConfig(**base)

@@ -42,12 +42,13 @@ when an image has more):
   each input's nine tap terms in another order, so its input gradient
   differs by rounding (about 1e-15 relative), and the training bits
   changed once, with it.
-- A conv that CnnModel pairs with the max-pool after it (fuse_pool)
-  pools each run's product as soon as it is in a run-sized buffer and
-  keeps one uint8 winning tap per window, so neither the full-batch
-  conv output nor the pool's full-batch input gradient exists (33.5 MB
-  each for block 1 of the 64x64 net at batch 32). Its backward routes
-  each run of the pooled gradient through the taps into that buffer.
+- A conv that CnnModel pairs with the max-pool of its block (fuse_pool;
+  the pool follows the conv directly or after one ReLU) pools each
+  run's product as soon as it is in a run-sized buffer and keeps one
+  uint8 winning tap per window, so neither the full-batch conv output
+  nor the pool's full-batch input gradient exists (33.5 MB each for
+  block 1 of the 64x64 net at batch 32). Its backward routes each run
+  of the pooled gradient through the taps into that buffer.
   The bias gradient carries its running column sums into the next run
   as a leading row, which continues the row-by-row order of one
   full-batch g.sum(axis=0), so every bit matches the unpaired layers.
@@ -64,8 +65,9 @@ buffer is only 9 c_in columns wide.
 Large arrays live in per-layer buffers keyed by shape, which spares
 re-faulting their pages on every call. Full-batch: a convolution's
 pooled output and winning taps when it is paired with its pool, else
-its product; the ReLU output (pool-sized in the reference net, which
-runs ReLU after the pool); and an unpaired max-pool's input gradient.
+its product; the ReLU output (pool-sized after a paired conv, as in
+every block of the reference net); and an unpaired max-pool's input
+gradient.
 Run-sized: a convolution's bordered run, its patches and a paired
 one's product, training or not, and once it has run a backward, its
 bordered run of the output gradient. An array a layer returns is
@@ -189,13 +191,13 @@ class Conv2d(Layer):
     the input's shape in place of the input gradient.
 
     With fuse_pool set (CnnModel sets it for the span of a forward, when
-    a MaxPool2x2 follows this conv), forward returns the 2x2 max-pool of
-    the output, pooling each run as soon as its product is in, and keeps
-    each window's winning tap. The backward that follows then takes the
-    pooled gradient and routes each run of it to those taps in a
-    run-sized buffer. Values and bits are those of the conv and the pool
-    run one after the other, given more than one output channel (the
-    only convs CnnModel pairs).
+    a MaxPool2x2 follows this conv directly or after one ReLU), forward
+    returns the 2x2 max-pool of the output, pooling each run as soon as
+    its product is in, and keeps each window's winning tap. The backward
+    that follows then takes the pooled gradient and routes each run of
+    it to those taps in a run-sized buffer. Values and bits are those of
+    the conv and the pool run one after the other, given more than one
+    output channel (the only convs CnnModel pairs).
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -327,10 +329,11 @@ class MaxPool2x2(Layer):
     every other input gets an exact +0.0. forward keeps each window's
     winning tap (one uint8), not its input.
 
-    With fused set (CnnModel sets it for the span of a forward, when the
-    Conv2d before this pool has pooled its own output), forward hands its
-    input through, and so does the backward that follows that forward:
-    the conv routes the gradient through its own taps.
+    With fused set (CnnModel sets it for the span of a forward, when this
+    pool follows a Conv2d directly or after one ReLU, and that conv has
+    pooled its own output), forward hands its input through, and so does
+    the backward that follows that forward: the conv routes the gradient
+    through its own taps.
     """
 
     def __init__(self):

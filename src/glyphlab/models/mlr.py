@@ -70,7 +70,8 @@ def mlr_train(
 
     cfg.augment_policy, when not the identity, re-augments the training
     images with fresh draws before each epoch's gradient; validation is
-    never augmented.
+    never augmented. Every epoch is one full-batch gradient step, so
+    cfg.batch_size is never read: any value gives the same bytes.
     """
     if len(set(train.labels.tolist())) < 2:
         raise ArgumentError("training set must contain at least 2 classes")

@@ -213,6 +213,19 @@ class TestTrainCommands:
         assert manifest["subcommand"] == "train-mlr"
         assert manifest["seed"] == 3
 
+    def test_train_mlr_ignores_batch(self, tmp_path, shapes_gly, shapes_val_gly):
+        # mlr_train is full-batch and never reads the batch size.
+        outputs = []
+        for batch in ("1", "7"):
+            out = tmp_path / batch
+            out.mkdir()
+            rc = main(["train-mlr", "--train", str(shapes_gly), "--val", str(shapes_val_gly),
+                       "--epochs", "5", "--batch", batch, "--seed", "3",
+                       "--model-out", str(out / "m.gmd"), "--history-out", str(out / "h.csv")])
+            assert rc == 0
+            outputs.append([(out / name).read_bytes() for name in ("m.gmd", "h.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_train_mlr_prints_overfit_epoch(self, tmp_path, capsys):
         train = tmp_path / "t.gly"
         val = tmp_path / "v.gly"

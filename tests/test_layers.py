@@ -4,7 +4,7 @@ forward contracts."""
 import numpy as np
 import pytest
 
-from glyphlab import DimensionError, Rng, reference_cnn
+from glyphlab import ArgumentError, DimensionError, Rng, reference_cnn
 from glyphlab.models.cnn import CnnModel, _bce_grad
 from glyphlab.models.layers import _ROWS, _runs, Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
@@ -426,6 +426,12 @@ class TestPredictProba:
         with pytest.raises(DimensionError, match="training forward"):
             model.backward(np.zeros(32))
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_a_chunk_below_one(self, chunk):
+        model = reference_cnn(32)
+        with pytest.raises(ArgumentError, match="chunk must be >= 1"):
+            model.predict_proba(np.zeros((3, 32, 32)), chunk=chunk)
+
 
 class TestModelBackward:
     def test_parameter_gradients_match_full_layer_backward_bitwise(self):
@@ -443,7 +449,7 @@ class TestModelBackward:
         model.layers[0].input_grad = True
         model.zero_grads()
         g = _bce_grad(model.forward(x), y).reshape(-1, 1)
-        for layer in reversed(model.execution_order()):
+        for layer in reversed(model.layers):
             g = layer.backward(g)
         assert g.shape == x.shape and np.isfinite(g).all()
         for a, b in zip(skipped, model.grads, strict=True):
@@ -451,8 +457,9 @@ class TestModelBackward:
 
 
 def list_order_step(model, x, y):
-    """Forward and backward over model.layers in stored order (ReLU before
-    each pool): the probabilities and the accumulated parameter gradients."""
+    """Forward and backward over model.layers in stored order, each layer
+    on its own (no conv paired with its pool): the probabilities and the
+    accumulated parameter gradients."""
     model.zero_grads()
     h = x
     for layer in model.layers:
@@ -465,30 +472,78 @@ def list_order_step(model, x, y):
 
 
 class TestExecutionOrder:
+    """CnnModel runs model.layers in stored order and pairs each conv of
+    more than one channel with the pool after it, directly or after
+    exactly one Relu; every other block runs layer by layer."""
+
+    @staticmethod
+    def _model(layers, seed):
+        rng = np.random.default_rng(seed)
+        for layer in layers:
+            if isinstance(layer, (Conv2d, Dense)):
+                layer.weights[...] = rng.normal(size=layer.weights.shape)
+                layer.bias[...] = rng.normal(-0.1, 0.1, layer.bias.shape)
+        return CnnModel(layers)
+
+    @staticmethod
+    def _assert_same_as_list_order(model, x, y):
+        model.zero_grads()
+        p = model.forward(x).copy()
+        model.backward(_bce_grad(p, y))
+        grads = [g.copy() for g in model.grads]
+        want_p, want_grads = list_order_step(model, x, y)
+        assert np.array_equal(bits(p), bits(want_p))
+        for a, b in zip(grads, want_grads, strict=True):
+            assert np.array_equal(bits(a), bits(b))
+
     def test_reference_net_pools_before_relu(self):
         model = reference_cnn(32)
         stored = list(model.layers)
-        order = model.execution_order()
-        names = [type(layer).__name__ for layer in order]
-        assert names == ["Conv2d", "MaxPool2x2", "Relu"] * 5 + [
-            "Flatten", "Dense", "Relu", "Dense", "Sigmoid"]
-        assert sorted(map(id, order)) == sorted(map(id, stored))
+        model.forward(np.random.default_rng(0).random((2, 32, 32, 1)))
+        convs = [layer for layer in stored if isinstance(layer, Conv2d)]
+        assert len(convs) == 5 and all(conv._taps is not None for conv in convs)
+        assert not any(conv.fuse_pool for conv in convs)
+        for k in range(5):
+            conv, relu, pool = stored[3 * k : 3 * k + 3]
+            # The ReLU between a paired conv and its pool sees the pooled values.
+            assert relu._out.shape == conv._taps.shape == pool._out.shape
+            assert not pool.fused
         assert model.layers == stored  # the stored (GMD1) order is untouched
 
-    def test_hand_built_model_gets_the_swap(self):
+    def test_hand_built_conv_pairs_through_relu(self):
         conv, relu, pool = Conv2d(1, 2), Relu(), MaxPool2x2()
-        flat, dense, sig = Flatten(), Dense(8, 1), Sigmoid()
-        model = CnnModel([conv, relu, pool, flat, dense, sig])
-        assert model.execution_order() == [conv, pool, relu, flat, dense, sig]
-        assert model.forward(np.ones((3, 4, 4, 1))).shape == (3,)
+        model = self._model([conv, relu, pool, Flatten(), Dense(8, 1), Sigmoid()], seed=1)
+        x = np.random.default_rng(2).random((3, 4, 4, 1))
+        assert model.forward(x).shape == (3,)
+        assert conv._taps is not None and "out" not in conv._pool
+        assert relu._out.shape == (3, 2, 2, 2)
+        self._assert_same_as_list_order(model, x, np.array([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("extra_relu", [False, True])
+    def test_unpaired_blocks_run_in_stored_order(self, extra_relu):
+        # Block 2 has a one-channel conv, or block 1 two ReLUs before its
+        # pool: either stays unpaired, its ReLUs see the full conv output.
+        conv1, conv2 = Conv2d(1, 3), Conv2d(3, 1)
+        block1 = [conv1, Relu()] + [Relu()] * extra_relu + [MaxPool2x2()]
+        layers = block1 + [conv2, Relu(), MaxPool2x2(), Flatten(), Dense(4, 1), Sigmoid()]
+        model = self._model(layers, seed=3)
+        x = np.random.default_rng(4).random((4, 8, 8, 1))
+        model.forward(x)
+        assert (conv1._taps is None) == extra_relu and conv2._taps is None
+        assert layers[1]._out.shape == ((4, 8, 8, 3) if extra_relu else (4, 4, 4, 3))
+        assert "out" in conv2._pool and layers[-5]._out.shape == (4, 4, 4, 1)
+        self._assert_same_as_list_order(model, x, np.array([0.0, 1.0, 1.0, 0.0]))
 
     def test_follows_edits_to_the_layer_list(self):
-        model = reference_cnn(32)
-        relu = Relu()
-        model.layers[1] = relu
-        assert model.execution_order()[2] is relu
-        model.layers[2] = Relu()  # no pool follows either ReLU now
-        assert model.execution_order()[1:3] == model.layers[1:3]
+        model = reference_cnn(32, seed=5)
+        x = np.random.default_rng(6).random((2, 32, 32, 1))
+        conv = model.layers[0]
+        model.layers.insert(2, Relu())  # conv -> ReLU -> ReLU -> pool
+        model.forward(x)
+        assert conv._taps is None and model.layers[2]._out.shape == (2, 32, 32, 32)
+        del model.layers[2]
+        model.forward(x)
+        assert conv._taps is not None and model.layers[1]._out.shape == (2, 16, 16, 32)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_list_order_with_nonpositive_windows(self, seed):

@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps each layer's forward and backward on its class
 and times them from outside the package; the benchmark's span-count
 self-check expects one conv, ReLU and pool span per block, direction and
-batch. This runs the tracer unchanged on a tiny train-cnn and counts.
+batch. This runs the tracer unchanged on a tiny train-cnn and evaluate
+and counts.
 """
 
 import json
@@ -16,37 +17,58 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import make_shapes_dataset
-from glyphlab import write_gly
+from glyphlab import reference_cnn, save_model, write_gly
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def trace(tmp_path, argv):
+    """Run glyphlab argv in tmp_path under the tracer: the span-name counts."""
+    pythonpath = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath),
+               PERFBENCH_SPAWN_NS=str(time.time_ns()))
+    spans_out = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans_out.read_text())
+    assert record["exit_code"] == 0
+    return Counter(s[0] for s in record["spans"])
+
+
+def layer_spans(direction, calls):
+    return {f"layers.{kind}{k}.{direction}": calls
+            for k in range(1, 6) for kind in ("conv", "relu", "pool")}
 
 
 def test_train_cnn_traces_one_span_per_layer_and_batch(tmp_path):
     n_train, n_val, batch, epochs = 8, 4, 4, 2
     write_gly(make_shapes_dataset(n_train // 2, side=32, seed=1), tmp_path / "train.gly")
     write_gly(make_shapes_dataset(n_val // 2, side=32, seed=2), tmp_path / "val.gly")
-    pythonpath = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath),
-               PERFBENCH_SPAWN_NS=str(time.time_ns()))
-    spans_out = tmp_path / "spans.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out),
-         "train-cnn", "--train", "train.gly", "--val", "val.gly", "--augment", "lossy",
-         "--epochs", str(epochs), "--batch", str(batch), "--seed", "3",
-         "--model-out", "m.gmd", "--history-out", "h.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(spans_out.read_text())
-    assert record["exit_code"] == 0
-    got = Counter(s[0] for s in record["spans"])
+    got = trace(tmp_path, [
+        "train-cnn", "--train", "train.gly", "--val", "val.gly", "--augment", "lossy",
+        "--epochs", str(epochs), "--batch", str(batch), "--seed", "3",
+        "--model-out", "m.gmd", "--history-out", "h.csv"])
 
     steps = epochs * math.ceil(n_train / batch)
     chunks = epochs * math.ceil(n_val / batch)  # validation forwards
     assert got["cnn.forward"] == steps + chunks and got["cnn.backward"] == steps
-    want = {}
-    for direction, calls in (("fwd", steps + chunks), ("bwd", steps)):
-        for k in range(1, 6):
-            for kind in ("conv", "relu", "pool"):
-                want[f"layers.{kind}{k}.{direction}"] = calls
+    want = {**layer_spans("fwd", steps + chunks), **layer_spans("bwd", steps)}
     assert {name: got[name] for name in want} == want
+
+
+def test_evaluate_traces_forward_spans_per_chunk_only(tmp_path):
+    n_test, chunk = 40, 32  # evaluate scores in chunks of 32: two forwards
+    write_gly(make_shapes_dataset(n_test // 2, side=32, seed=4), tmp_path / "test.gly")
+    save_model(reference_cnn(32, seed=5), tmp_path / "cnn.gmd")
+    got = trace(tmp_path, ["evaluate", "--model", "cnn.gmd", "--data", "test.gly",
+                           "--out-csv", "eval.csv", "--roc-svg", "roc.svg"])
+
+    chunks = math.ceil(n_test / chunk)
+    assert got["cnn.predict_proba"] == 1 and got["cnn.forward"] == chunks
+    want = layer_spans("fwd", chunks)
+    assert {name: got[name] for name in want} == want
+    assert got["cnn.backward"] == 0
+    assert not [name for name in got if name.endswith(".bwd")]
