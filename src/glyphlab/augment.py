@@ -20,8 +20,10 @@ coordinate mesh is formed. The sampler copies the image once into a
 buffer with a one-pixel border that repeats the edge, clamps the floor
 of each coordinate once per axis, in float, to [-1, extent - 1], and
 reads all four taps at offsets of one flat index into that buffer.
-augment_batch draws every parameter set first, builds their inverse
-matrices in one stacked product and reuses one padded buffer.
+augment_batch reads its sources by index from the caller's stack, so a
+trainer augments a shuffled or sorted epoch without gathering it first;
+it draws every parameter set first, builds their inverse matrices in one
+stacked product and reuses one padded buffer.
 """
 
 from __future__ import annotations
@@ -185,27 +187,47 @@ def apply_affine(img: Tensor, p: AffineParams) -> Tensor:
     return _warp(_edge_pad(img), p, _inverse_maps([p])[0].tolist(), *_offsets(h, w))
 
 
-def augment_batch(images: Tensor, policy: AugmentPolicy, seed: int, counter: int = 0) -> Tensor:
-    """Transform a stack of (n, h, w) images.
+def augment_batch(
+    images: Tensor, policy: AugmentPolicy, seed: int, counter: int = 0, index=None
+) -> Tensor:
+    """Transform images[index] for a stack of (n, h, w) images.
 
-    Image i draws its parameters from a stream seeded by
-    (seed, counter, i), so batches are reproducible per (seed, counter)
-    and items may be processed in any order or in parallel.
+    Output row i is the warp of images[index[i]]; index None means every
+    image in order. The gather happens row by row, so no copy of the
+    selected images is built next to the output. Row i draws its
+    parameters from a stream seeded by (seed, counter, i), keyed by the
+    output position and not by the source row, so the result equals
+    augment_batch(images[index], ...) bit for bit, batches are
+    reproducible per (seed, counter), and items may be processed in any
+    order or in parallel. The identity policy returns images[index], a
+    fresh array.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or images.shape[0] < 1:
         raise ArgumentError(f"expected a non-empty (n, h, w) stack, got shape {images.shape}")
+    if index is None:
+        index = np.arange(images.shape[0])
+    index = np.asarray(index)
+    if index.ndim != 1 or index.size < 1 or index.dtype.kind not in "iu":
+        raise ArgumentError(
+            f"index must be a non-empty 1-d integer array, got {index.dtype} of shape {index.shape}"
+        )
+    if index.min() < 0 or index.max() >= images.shape[0]:
+        raise ArgumentError(
+            f"index entries must lie in [0, {images.shape[0]}), got {index.min()} to {index.max()}"
+        )
     if policy.is_identity:
-        return images.copy()
-    n, h, w = images.shape
+        return images[index]
+    n = len(index)
+    h, w = images.shape[1:]
     params = [sample_affine(policy, Rng(derive_seed(seed, counter, i)), w, h) for i in range(n)]
     minv = _inverse_maps(params).tolist()
     dx, dy = _offsets(h, w)
     pad = np.empty((h + 2, w + 2))
-    out = np.empty_like(images)
-    for i, p in enumerate(params):
+    out = np.empty((n, h, w))
+    for i, (k, p) in enumerate(zip(index.tolist(), params)):
         if _is_identity_params(p):
-            out[i] = images[i]
+            out[i] = images[k]
         else:
-            _warp(_edge_pad(images[i], pad), p, minv[i], dx, dy, out=out[i])
+            _warp(_edge_pad(images[k], pad), p, minv[i], dx, dy, out=out[i])
     return out

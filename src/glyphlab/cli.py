@@ -159,9 +159,18 @@ def cmd_distmap(args) -> int:
     reordered, ribbon = clustered_map(dm, dg, labels)
     perm = dg.leaf_order
 
+    # reordered is bitwise symmetric (pairwise_euclidean averages d and
+    # d.T, and clustered_map permutes rows and columns alike), so each
+    # cell is formatted once, in the row that reaches it from the
+    # diagonal, and taken as it stands by the rows below.
     rows = ["id," + ",".join(str(p) for p in perm)]
+    cells = np.empty((dm.n, dm.n), dtype=object)
     for i in range(dm.n):
-        rows.append(f"{perm[i]}," + ",".join(map(repr, reordered[i].tolist())))
+        tail = list(map(repr, reordered[i, i:].tolist()))
+        cells[i:, i] = tail
+        cells[i, i:] = tail
+        rows.append(f"{perm[i]}," + ",".join(cells[i].tolist()))
+        cells[i] = None  # a cell's string lives until its second row is written
     _write_text(args.out_csv, "\n".join(rows) + "\n")
     _write_text(
         args.out_svg,

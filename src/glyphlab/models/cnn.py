@@ -198,11 +198,11 @@ def cnn_train(
         for epoch in range(cfg.epochs):
             perm = list(range(n))
             shuffle_rng.shuffle(perm)
-            # One gather from the caller's images, no content-ordered copy.
+            # augment_batch reads the epoch's images from the caller's
+            # stack by index: no content-ordered or epoch-sized gather.
             pick = order[perm]
-            x_epoch = train.images[pick]
             y_epoch = train.labels[pick].astype(np.float64)
-            x_epoch = augment_batch(x_epoch, cfg.augment_policy, cfg.seed, counter=epoch)
+            x_epoch = augment_batch(train.images, cfg.augment_policy, cfg.seed, counter=epoch, index=pick)
 
             loss_sum = 0.0
             correct = 0.0

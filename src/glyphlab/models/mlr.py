@@ -6,10 +6,14 @@ so the objective is convex and the run is exactly reproducible; the
 internal sample order is canonicalized first, which makes the result
 independent of how the caller happened to order the dataset rows.
 
-Memory: training keeps the content-ordered copy of the images and, with
-augmentation, one augmented batch; an epoch's batch is freed before the
-next is drawn. `train-mlr --augment lossy` on 1,200 64x64 images (39 MB
-a copy) peaks at 153 MB of RSS, where it held two batches at 195 MB.
+Memory: with augmentation, training holds one augmented batch, which
+augment_batch warps straight from the caller's images in content order,
+and frees each epoch's batch before the next is drawn; without it,
+training holds one content-ordered copy of the images. `train-mlr
+--augment lossy` on 1,200 64x64 images (39 MB a copy) peaks at 112 MB
+of RSS, where it held the ordered copy too at 153 MB; on 4,080 64x64
+images in 34 classes (134 MB a copy, the size of the paper's CGCL set)
+it peaks at 310 MB, where it peaked at 450 MB.
 """
 
 from __future__ import annotations
@@ -50,7 +54,18 @@ class MlrModel:
             raise DimensionError(
                 f"expected {self.w.shape[1]} features per image, got {x.shape[1]}"
             )
-        return softmax_rows(x @ self.w.T + self.b)
+        return softmax_rows(_logits(x, self.w, self.b))
+
+
+def _logits(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b, summed in an order fixed by the operands' shapes.
+
+    einsum, not BLAS: numpy's einsum loop runs in the calling thread and
+    adds each row's feature products in an order set by the shapes and
+    strides alone, while OpenBLAS splits the product by its thread count
+    (at 784 features a 1 and a 2 thread run gave different bits).
+    """
+    return np.einsum("nf,kf->nk", x, w) + b
 
 
 def softmax_rows(z: Tensor) -> Tensor:
@@ -76,29 +91,32 @@ def mlr_train(
     if len(set(train.labels.tolist())) < 2:
         raise ArgumentError("training set must contain at least 2 classes")
     order = content_order(train)
-    images = train.images[order]
     labels = train.labels[order]
-    n, h, wd = images.shape
+    n = len(order)
     n_classes = len(train.class_names)
+    # An augmented run warps each epoch's batch straight from train.images
+    # in content order; an unaugmented one trains on one ordered copy.
+    ordered = train.images[order].reshape(n, -1) if cfg.augment_policy.is_identity else None
 
     x_val = val.images.reshape(val.n, -1)
     y_val = val.labels
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
 
-    w = np.zeros((n_classes, h * wd))
+    w = np.zeros((n_classes, train.images[0].size))
     b = np.zeros(n_classes)
     history = TrainHistory()
     # A diverging run is reported once, by the TrainingDivergedError that
     # TrainHistory.append raises, not also by numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            if cfg.augment_policy.is_identity:
-                x = images.reshape(n, -1)
+            if ordered is None:
+                x = augment_batch(
+                    train.images, cfg.augment_policy, cfg.seed, counter=epoch, index=order
+                ).reshape(n, -1)
             else:
-                x = augment_batch(images, cfg.augment_policy, cfg.seed, counter=epoch)
-                x = x.reshape(n, -1)
-            p = softmax_rows(x @ w.T + b)
+                x = ordered
+            p = softmax_rows(_logits(x, w, b))
             resid = p - onehot
             # einsum, not BLAS: OpenBLAS splits this sum over the samples
             # into blocks that depend on its thread count (the bits of a
@@ -112,7 +130,7 @@ def mlr_train(
             w = w - cfg.learning_rate * grad_w
             b = b - cfg.learning_rate * grad_b
 
-            p_val = softmax_rows(x_val @ w.T + b)
+            p_val = softmax_rows(_logits(x_val, w, b))
             history.append(
                 train_loss,
                 train_acc,

@@ -135,6 +135,33 @@ class TestAugmentBatch:
         head = augment_batch(imgs[:2], preset("lossy"), seed=11, counter=0)
         assert np.array_equal(full[:2], head)
 
+    @pytest.mark.parametrize("name", ["lossy", "lossless", "none"])
+    @pytest.mark.parametrize("index", [[4, 0, 3, 1, 2], [2, 2, 0, 4, 2, 2, 1]])
+    def test_index_equals_a_pregathered_stack(self, name, index):
+        # Streams are keyed by output position, so gathering first and
+        # gathering by index give the same bits.
+        imgs = Rng(10).uniform_array((5, 9, 7))
+        got = augment_batch(imgs, preset(name), seed=12, counter=1, index=np.array(index))
+        want = augment_batch(imgs[index], preset(name), seed=12, counter=1)
+        assert got.shape == (len(index), 9, 7)
+        assert got.tobytes() == want.tobytes()
+
+    def test_identity_returns_no_view(self):
+        imgs = Rng(11).uniform_array((3, 4, 4))
+        for index in (None, np.array([2, 0])):
+            out = augment_batch(imgs, preset("none"), seed=1, index=index)
+            assert not np.shares_memory(out, imgs)
+
+    @pytest.mark.parametrize("index", [
+        np.array([], dtype=np.int64), np.array([[0, 1]]), np.array([0.0, 1.0]),
+        np.array([0, 3]), np.array([-1, 0]),
+    ], ids=["empty", "2-d", "float", "past-end", "negative"])
+    def test_bad_index_rejected(self, index):
+        imgs = Rng(12).uniform_array((3, 4, 4))
+        for policy in ("lossy", "none"):
+            with pytest.raises(ArgumentError):
+                augment_batch(imgs, preset(policy), seed=1, index=index)
+
 
 def _reference_resize(src, out_w, out_h):
     """resize_bilinear's sampling before the shared kernel, kept as a reference."""

@@ -191,6 +191,24 @@ class TestDistmap:
         # ribbon strips present in the svg
         assert svg.read_text().count("<rect") > n
 
+    def test_csv_cells_are_each_cells_repr(self, tmp_path):
+        from glyphlab import clustered_map, hcluster_average, pairwise_euclidean
+
+        gly, csv = tmp_path / "s.gly", tmp_path / "d.csv"
+        ds = make_shapes_dataset(20, side=16, seed=53, noise=0.3)
+        write_gly(ds, gly)
+        rc = main(["distmap", "--input", str(gly), "--classes", "disk,square",
+                   "--out-csv", str(csv), "--out-svg", str(tmp_path / "d.svg")])
+        assert rc == 0
+        ds = read_gly(gly)
+        dm = pairwise_euclidean(ds.images.reshape(ds.n, -1))
+        dg = hcluster_average(dm)
+        reordered, _ = clustered_map(dm, dg, ds.labels)
+        perm = dg.leaf_order
+        want = ["id," + ",".join(str(p) for p in perm)]
+        want += [f"{perm[i]}," + ",".join(repr(float(v)) for v in reordered[i]) for i in range(ds.n)]
+        assert csv.read_text() == "\n".join(want) + "\n"
+
     def test_absent_class_exit_2(self, tmp_path, shapes_gly):
         rc = main(["distmap", "--input", str(shapes_gly), "--classes", "disk,ghost",
                    "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")])
@@ -331,10 +349,14 @@ class TestTrainCommands:
     # in one batch of 32, the benchmark's, so the input gradients of
     # conv2 and conv3 multiply 2,048-row runs of gradient patches.
     # mlr-1200: enough samples that a BLAS product summing over them
-    # splits the sum by thread count. evaluate:
+    # splits the sum by thread count. mlr-784: 600 noise images at 28x28
+    # (notMNIST's 784 features) in 10 classes, where a BLAS forward
+    # product's bits followed the thread count. evaluate:
     # 45 images at 64x64 are a chunk of 32 and a short one of 13, and
     # conv1-conv3 split each chunk into several runs.
-    @pytest.mark.parametrize("kind", ["cnn", "cnn-64", "cnn-64-b32", "mlr", "mlr-1200", "evaluate"])
+    @pytest.mark.parametrize(
+        "kind", ["cnn", "cnn-64", "cnn-64-b32", "mlr", "mlr-1200", "mlr-784", "evaluate"]
+    )
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, kind):
         from glyphlab import LabeledDataset, reference_cnn, save_model
 
@@ -343,6 +365,11 @@ class TestTrainCommands:
             ds = make_shapes_dataset(23, side=64, seed=63, noise=0.1)
             write_gly(LabeledDataset(ds.images[:45], ds.labels[:45], ds.class_names), val)
             save_model(reference_cnn(64, seed=9, class_names=ds.class_names), tmp_path / "cnn.gmd")
+        elif kind == "mlr-784":
+            rng = np.random.default_rng(64)
+            for path, n in ((train, 600), (val, 50)):
+                images = rng.integers(0, 256, size=(n, 28, 28)) / 255.0
+                write_gly(LabeledDataset(images, np.arange(n) % 10, tuple("abcdefghij")), path)
         else:
             per_class = {"cnn-64": 10, "cnn-64-b32": 16, "mlr-1200": 600}.get(kind, 15)
             side = 64 if kind.startswith("cnn-64") else 32
@@ -356,7 +383,7 @@ class TestTrainCommands:
                         "--out-csv", str(first), "--roc-svg", str(second)]
             else:
                 argv = [f"train-{kind.partition('-')[0]}", "--train", str(train), "--val", str(val),
-                        "--epochs", {"mlr": "20", "mlr-1200": "2"}.get(kind, "1"),
+                        "--epochs", {"mlr": "20", "mlr-1200": "2", "mlr-784": "3"}.get(kind, "1"),
                         "--batch", "32" if kind == "cnn-64-b32" else "13", "--seed", "8",
                         "--model-out", str(first), "--history-out", str(second)]
                 if kind != "mlr-1200":
