@@ -28,7 +28,6 @@ from .dataset import (
     read_gly,
     write_gly,
     write_pgm,
-    write_sink,
 )
 from .eda import TsneConfig, clustered_map, hcluster_average, pairwise_euclidean, tsne
 from .errors import ArgumentError, DataFormatError
@@ -47,8 +46,17 @@ from .svgplot import heatmap_svg, roc_svg, scatter_svg
 _ENV_SEED = "GLYPHLAB_SEED"
 
 
+_TEXT_SLICE = 1 << 20  # characters encoded per write
+
+
 def _write_text(path, text: str) -> None:
-    write_sink(path, text.encode("utf-8"))
+    # A slice at a time, so a large text (distmap's SVG) never has a
+    # second, full-size copy as bytes.
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as f:
+        for i in range(0, len(text), _TEXT_SLICE):
+            f.write(text[i : i + _TEXT_SLICE].encode("utf-8"))
 
 
 def _write_manifest(args, inputs: list, outputs: list) -> None:

@@ -5,13 +5,14 @@ extent halves while channels grow 1 -> 32 -> 32 -> 64 -> 64 -> 128,
 then a 128-unit dense layer and a sigmoid output. At 64x64 input that
 is 204,641 trainable parameters. Forward and backward walk the layers
 in their stored (GMD1) order, a block being conv -> ReLU -> pool. Each
-forward pairs every conv with the pool of its block, so the conv pools
-its output run by run and routes the pooled gradient back itself (see
-the layers module), the ReLU sees only the pooled quarter of the values,
-and the pool's forward and backward hand the pooled tensor through. Max
-commutes with ReLU, so the values are those of each layer run on its
-own; a window whose max is positive routes its gradient to the same tap,
-and otherwise only a zero moves, which changes no sum's bits. Loss is
+forward pairs every conv with its block's pool and ReLU: the conv pools
+its output run by run, applies the ReLU to the pooled quarter of the
+values, and masks and routes the pooled gradient back itself, while
+the ReLU and the pool hand the pooled tensor through. Max commutes with
+ReLU, so the values are those of each layer run on its own; a window
+whose max is positive routes its gradient to the same tap, and
+otherwise only a zero moves, which changes no sum's bits. The convs
+share one run-sized workspace for their patches and products. Loss is
 binary cross-entropy; training augments each epoch's shuffled batch
 stream with fresh draws, keeps validation clean, and returns the
 parameters from the epoch with the lowest validation loss.
@@ -40,30 +41,40 @@ class CnnModel:
     def __init__(self, layers: list[Layer], class_names=("0", "1")):
         self.layers = list(layers)
         self.class_names = tuple(class_names)
+        work: dict = {}  # one conv runs at a time
+        for layer in self.layers:
+            if isinstance(layer, Conv2d):
+                layer._work = work
         if self.layers and isinstance(self.layers[0], Conv2d):
             # backward discards the images' gradient, so it is never built
             self.layers[0].input_grad = False
 
     def forward(self, x: Tensor) -> Tensor:
-        # Pair each conv with the pool that follows it, directly or after
-        # one Relu, for this forward only; each backward reads what its
-        # forward kept. A one-channel conv stays unpaired: numpy sums its
-        # single bias column pairwise, which a run-by-run carry cannot
-        # reproduce.
+        # Pair each conv with the pool after it, directly or after one
+        # Relu (which the conv then applies), for this forward only; each
+        # backward reads what its forward kept. A one-channel conv stays
+        # unpaired: numpy sums its lone bias column pairwise, which a
+        # run-by-run carry cannot reproduce.
         layers = self.layers
-        pairs = []
+        blocks = []
         for conv, nxt, nxt2 in zip(layers, layers[1:], layers[2:] + [None]):
-            pool = nxt2 if isinstance(nxt, Relu) else nxt
+            block = [conv, nxt, nxt2] if isinstance(nxt, Relu) else [conv, nxt]
+            pool = block[-1]
             if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2x2) and conv.out_channels > 1:
-                pairs.append((conv, pool))
-        for conv, pool in pairs:
-            conv.fuse_pool = pool.fused = True
+                blocks.append(block)
+
+        def pair(on):
+            for conv, *fused in blocks:
+                conv.fuse_pool, conv.fuse_relu = on, on and len(fused) == 2
+                for layer in fused:
+                    layer.fused = on
+
+        pair(True)
         try:
             for layer in layers:
                 x = layer.forward(x)
         finally:
-            for conv, pool in pairs:
-                conv.fuse_pool = pool.fused = False
+            pair(False)
         return x.reshape(-1)
 
     def backward(self, grad_p: Tensor) -> None:

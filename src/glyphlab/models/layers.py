@@ -2,82 +2,69 @@
 
 All layers take batched channels-last inputs: images are (n, h, w, c),
 vectors are (n, d). Forward caches whatever backward needs; backward
-consumes the cache of the latest forward, accumulates parameter
+consumes the cache of the latest forward, refuses a gradient of another
+shape than the forward's output (DimensionError), accumulates parameter
 gradients on the layer, and returns the gradient with respect to its
 input (Relu writes it over grad_out).
 
 Convolutions are 3x3 cross-correlations with same-size zero padding,
 evaluated as matrix products over unrolled patches (im2col). The input
-gradient is a convolution too, the transposed one: the same-padding
-correlation of the output gradient with the kernel flipped in space and
-its channel axes swapped (Dumoulin and Visin 2016, section 4), so it
-runs through the same im2col and one product. Both directions walk the
-batch in runs of whole images of at most _ROWS patch rows (one image,
-when an image has more):
+gradient is the transposed convolution: the same-padding correlation of
+the output gradient with the kernel flipped in space and its channel
+axes swapped (Dumoulin and Visin 2016, section 4), through the same
+im2col. Both directions walk the batch in runs of whole images of at
+most _ROWS patch rows (one image, when an image has more):
 
 - im2col copies a run's images (or output gradients) into the interior
-  of a run-sized bordered buffer, whose border is zeroed once, when it
-  is allocated. In that buffer a patch row is three stretches of 3c
-  contiguous values, so one copy from a strided view writes the run's
-  patch rows front to back, where nine per-tap copies would each write
-  it at a stride. The bordered copy is one run, not the batch, so it
-  stays small.
+  of a run-sized bordered buffer whose border is zeroed once, so one
+  copy from a strided view writes the run's patch rows front to back
+  (nine per-tap copies would each write them at a stride).
 - forward multiplies each run's patches into that run's rows of the
-  output as soon as they are written. A whole-batch product has the
-  same bits, but 2-thread OpenBLAS touches scratch that grows with its
-  rows (53 MB for conv2's 32,768 rows at batch 32, 64x64; 0.4 MB on one
-  thread).
-- backward unrolls each run's patches again, from the input that the
-  training forward kept, and adds the run's weight gradient
-  patches.T @ grad to the layer's, in run order. Keeping the patches
-  from forward instead would hold a full-batch matrix from forward to
-  backward (72 MiB for conv2 of the 64x64 net at batch 32). The sum of
-  per-run products rounds differently from the one full-batch product
-  it replaced, since numpy's matmul cannot accumulate into its output
-  (no GEMM with beta = 1); so training bits changed once, with it.
-- backward then unrolls the run's output gradient into the same patch
-  buffer, which is 9 max(c_in, c_out) columns wide for that, and
-  multiplies it by the flipped kernel straight into the run's rows of
-  the input gradient. The scatter-add (col2im) this replaced summed
-  each input's nine tap terms in another order, so its input gradient
-  differs by rounding (about 1e-15 relative), and the training bits
-  changed once, with it.
-- A conv that CnnModel pairs with the max-pool of its block (fuse_pool;
-  the pool follows the conv directly or after one ReLU) pools each
-  run's product as soon as it is in a run-sized buffer and keeps one
-  uint8 winning tap per window, so neither the full-batch conv output
-  nor the pool's full-batch input gradient exists (33.5 MB each for
-  block 1 of the 64x64 net at batch 32). Its backward routes each run
-  of the pooled gradient through the taps into that buffer.
-  The bias gradient carries its running column sums into the next run
-  as a leading row, which continues the row-by-row order of one
-  full-batch g.sum(axis=0), so every bit matches the unpaired layers.
+  output. A whole-batch product has the same bits, but 2-thread
+  OpenBLAS touches scratch that grows with its rows.
+- backward unrolls each run's patches again from the input the training
+  forward kept (no full-batch patch matrix is kept) and adds the run's
+  weight gradient patches.T @ grad in run order; then it unrolls the
+  run's output gradient into the same patch buffer and multiplies it by
+  the flipped kernel into the run's input gradient. Both round unlike
+  the full-batch product and the col2im scatter they replaced, so the
+  training bits changed once with each.
+- A conv that CnnModel pairs with its block's max-pool (fuse_pool)
+  pools each run's product as soon as it is in a run-sized buffer and
+  keeps one uint8 winning tap per window; with the block's ReLU between
+  them (fuse_relu) it applies the ReLU to each pooled run too. Its
+  backward masks each run of the pooled gradient by that ReLU, routes it
+  through the taps into the run-sized buffer, and carries the bias
+  gradient's column sums into the next run as a leading row, which
+  continues the row order of one full-batch g.sum(axis=0). So no
+  full-batch conv output, pool input gradient or ReLU output exists, and
+  every bit matches the layers run one by one.
 
 The runs are near-equal in length, not full runs plus a short rest: a
 product split by rows keeps the bits of the whole product only while
-every piece runs through the BLAS general kernel, and a piece of one
-row goes to a matrix-vector kernel that rounds differently (very short
-pieces can also take a small-matrix kernel). A convolution whose input
-needs no gradient (the network's first) has input_grad set to False:
-its backward skips the gradient's unroll and product, and its patch
-buffer is only 9 c_in columns wide.
+every piece runs through the BLAS general kernel, and a one-row piece
+goes to a matrix-vector kernel that rounds differently. A convolution
+whose input needs no gradient (the network's first) has input_grad set
+to False: its backward skips the gradient's unroll and product.
 
-Large arrays live in per-layer buffers keyed by shape, which spares
-re-faulting their pages on every call. Full-batch: a convolution's
-pooled output and winning taps when it is paired with its pool, else
-its product; the ReLU output (pool-sized after a paired conv, as in
-every block of the reference net); and an unpaired max-pool's input
-gradient.
-Run-sized: a convolution's bordered run, its patches and a paired
-one's product, training or not, and once it has run a backward, its
-bordered run of the output gradient. An array a layer returns is
-therefore only valid until that layer's next forward or backward:
-consume it first, as every trainer does. Layers keep
-references to their inputs, not copies, so an input must stay
-unchanged until the backward that follows its forward.
+Full-batch buffers live per layer, keyed by shape, which spares
+re-faulting their pages on every call: a paired conv's pooled output
+and taps, else its product; an unpaired ReLU's output or pool's input
+gradient. Each conv's bordered runs (of its input and of its output
+gradient) are its own, since their border is written once. The
+run-sized patches and product are leading elements of flat buffers in
+the conv's workspace, which grow to the largest request: 9 c_in patch
+columns to infer, 9 max(c_in, c_out) to train. CnnModel gives all its
+convs one workspace, as only one conv runs at a time. An array a layer
+returns is only valid until that layer's next forward or backward:
+consume it first, as every trainer does. Layers keep references to
+their inputs, not copies, so an input must stay unchanged until the
+backward that follows its forward.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -97,11 +84,26 @@ def _pooled(store: dict, name: str, shape, alloc=np.empty, dtype=np.float64) -> 
     return buf
 
 
+def _lead(work: dict, name: str, *shape) -> np.ndarray:
+    """The leading elements of work[name], a flat buffer that grows to the
+    largest request, shaped as asked."""
+    size = math.prod(shape)
+    if len(work.get(name, ())) < size:
+        work[name] = None  # free the smaller one first
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
 def _cached(value, layer: str):
     """value, the forward cache a backward reads, unless no forward set it."""
     if value is None:
         raise DimensionError(f"{layer} backward needs a forward first")
     return value
+
+
+def _check(grad: Tensor, shape: tuple, layer: str) -> None:
+    if grad.shape != shape:
+        raise DimensionError(f"{layer} gradient shape {grad.shape} does not match forward")
 
 
 def _runs(n: int, rows_per_image: int) -> list:
@@ -177,27 +179,21 @@ class Conv2d(Layer):
         + sum_{c, di, dj} weights[o, c, di, dj] * x[b, i+di-1, j+dj-1, c]
     with out-of-range x reading as 0.
 
-    forward unrolls the patches run by run into one run-sized buffer and
-    multiplies each run by the weights. A training forward keeps a
-    reference to its input, from which backward unrolls each run again
-    and adds the run's product to the weight gradient, so no full-batch
-    patch matrix is ever kept (see the module docstring, also for why
-    that sum's bits differ from one full-batch product's). backward then
-    unrolls the run's output gradient into the same buffer and multiplies
-    it by the flipped kernel into the run's input gradient. With
-    forward_only set, forward keeps nothing and backward raises
-    DimensionError. With input_grad False, backward accumulates the
-    parameter gradients only and returns a read-only all-NaN array of
-    the input's shape in place of the input gradient.
+    Both directions walk the batch in runs (see the module docstring); a
+    training forward keeps a reference to its input, from which backward
+    unrolls each run again. With forward_only set, forward keeps nothing
+    and backward raises DimensionError. With input_grad False, backward
+    accumulates the parameter gradients only and returns a read-only
+    all-NaN array of the input's shape in place of the input gradient.
 
     With fuse_pool set (CnnModel sets it for the span of a forward, when
     a MaxPool2x2 follows this conv directly or after one ReLU), forward
-    returns the 2x2 max-pool of the output, pooling each run as soon as
-    its product is in, and keeps each window's winning tap. The backward
-    that follows then takes the pooled gradient and routes each run of
-    it to those taps in a run-sized buffer. Values and bits are those of
-    the conv and the pool run one after the other, given more than one
-    output channel (the only convs CnnModel pairs).
+    returns the 2x2 max-pool of the output and keeps each window's
+    winning tap, and the backward that follows takes the pooled gradient.
+    With fuse_relu set too (the ReLU sits between them), forward applies
+    the ReLU to the pooled output and backward masks the gradient by it.
+    Values and bits are those of the layers run one after the other,
+    given more than one output channel (the only convs CnnModel pairs).
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -210,11 +206,10 @@ class Conv2d(Layer):
         self.params = [self.weights, self.bias]
         self.grads = [self.grad_weights, self.grad_bias]
         self.input_grad = True
-        self.forward_only = False
-        self.fuse_pool = False
+        self.forward_only = self.fuse_pool = self.fuse_relu = False
         self._pool: dict = {}
-        self._x = None
-        self._taps = None
+        self._work: dict = {}
+        self._x = self._taps = self._relu = None
 
     def _wmat(self) -> Tensor:
         # (9*in, out) in the patch row order: taps row-major, channels fastest.
@@ -229,44 +224,46 @@ class Conv2d(Layer):
         # Patch (i, j)'s tap row di is run[:, i + di, j : j + 3] flattened.
         s0, s1, s2, s3 = run.strides
         taps = as_strided(run, (m, h, w, 3, 3 * c), (s0, s1, s2, s1, s3), writeable=False)
-        patches = self._pool["run_cols"].reshape(-1)[: m * h * w * 9 * c].reshape(-1, 9 * c)
+        patches = _lead(self._work, "run_cols", m * h * w, 9 * c)
         np.copyto(patches.reshape(taps.shape), taps)
         return patches
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
-            raise DimensionError(
-                f"conv expects (n, h, w, {self.in_channels}), got {x.shape}"
-            )
+            raise DimensionError(f"conv expects (n, h, w, {self.in_channels}), got {x.shape}")
         n, h, w, c = x.shape
+        o = self.out_channels
         if self.fuse_pool and (h % 2 or w % 2):
             raise DimensionError(f"pooling needs even extents, got {h}x{w}")
         runs = _runs(n, h * w)
         longest = runs[-1] - runs[-2]
         _pooled(self._pool, "border", (longest, h + 2, w + 2, c), np.zeros)
-        # backward unrolls the output gradient into the same buffer
-        width = 9 * max(c, self.out_channels) if self.input_grad else 9 * c
-        _pooled(self._pool, "run_cols", (longest * h * w, width))
+        # a training backward unrolls the output gradient into it too
+        width = c if self.forward_only or not self.input_grad else max(c, o)
+        _lead(self._work, "run_cols", longest * h * w, 9 * width)
         wmat = self._wmat()
-        taps = None
+        taps = relu = None
         if self.fuse_pool:
             # Row 0 is left for backward's bias-gradient carry.
-            run_out = _pooled(self._pool, "run_out", (longest * h * w + 1, self.out_channels))
-            out = _pooled(self._pool, "pooled", (n, h // 2, w // 2, self.out_channels))
+            run_out = _lead(self._work, "run_out", longest * h * w + 1, o)
+            out = _pooled(self._pool, "pooled", (n, h // 2, w // 2, o))
             if not self.forward_only:
                 taps = _pooled(self._pool, "taps", out.shape, dtype=np.uint8)
+            relu = out if self.fuse_relu else None
             for a, b in zip(runs, runs[1:]):
                 y = np.matmul(self._patches(x[a:b], "border"), wmat, out=run_out[1 : (b - a) * h * w + 1])
                 y += self.bias
                 _max_pool(y.reshape(b - a, h, w, -1), out[a:b], None if taps is None else taps[a:b])
+                if relu is not None:
+                    np.maximum(out[a:b], 0.0, out=out[a:b])
         else:
-            out = _pooled(self._pool, "out", (n * h * w, self.out_channels))
+            out = _pooled(self._pool, "out", (n * h * w, o))
             for a, b in zip(runs, runs[1:]):
                 np.matmul(self._patches(x[a:b], "border"), wmat, out=out[a * h * w : b * h * w])
             out += self.bias
-            out = out.reshape(n, h, w, self.out_channels)
+            out = out.reshape(n, h, w, o)
         self._x = None if self.forward_only else x
-        self._taps = taps
+        self._taps, self._relu = taps, relu
         return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
@@ -277,23 +274,19 @@ class Conv2d(Layer):
                 "was forward-only, or its input was spent by an earlier backward"
             )
         n, h, w, c = x.shape
-        taps = self._taps
-        if grad_out.shape != (taps.shape if taps is not None else (n, h, w, self.out_channels)):
-            raise DimensionError(f"conv gradient shape {grad_out.shape} does not match forward")
-        self._x = self._taps = None
+        o = self.out_channels
+        taps, relu = self._taps, self._relu
+        _check(grad_out, (n, h, w, o) if taps is None else taps.shape, "conv")
+        self._x = self._taps = self._relu = None
+        # A fresh gx keeps the peak RSS below a pooled one.
+        runs = _runs(n, h * w)
         if taps is None:
-            g = np.ascontiguousarray(grad_out).reshape(-1, self.out_channels)
+            g = np.ascontiguousarray(grad_out).reshape(-1, o)
             gb = g.sum(axis=0)
         else:
-            run_out = self._pool["run_out"]
-        # Per run: the weight gradient of its patches, then (with
-        # input_grad) its input gradient, the output gradient's patches,
-        # unrolled into the same buffer, times the flipped kernel. A fresh
-        # gx keeps the peak RSS below a pooled one.
-        runs = _runs(n, h * w)
+            run_out = _lead(self._work, "run_out", (runs[-1] - runs[-2]) * h * w + 1, o)
         gw = self.grad_weights.transpose(2, 3, 1, 0)
         if self.input_grad:
-            o = self.out_channels
             wflip = self.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
             _pooled(self._pool, "gborder", (runs[-1] - runs[-2], h + 2, w + 2, o), np.zeros)
             gx = np.empty((n, h, w, c))
@@ -304,6 +297,8 @@ class Conv2d(Layer):
                 g_run = g[a * h * w : b * h * w]
             else:
                 g_run = run_out[1 : (b - a) * h * w + 1]
+                if relu is not None:
+                    np.multiply(grad_out[a:b], relu[a:b] > 0.0, out=grad_out[a:b])
                 _unpool(grad_out[a:b], taps[a:b], g_run.reshape(b - a, h, w, -1))
                 # The bias gradient continues the column sums of g.sum(axis=0)
                 # over the whole batch, which adds the rows in order from the
@@ -329,11 +324,9 @@ class MaxPool2x2(Layer):
     every other input gets an exact +0.0. forward keeps each window's
     winning tap (one uint8), not its input.
 
-    With fused set (CnnModel sets it for the span of a forward, when this
-    pool follows a Conv2d directly or after one ReLU, and that conv has
-    pooled its own output), forward hands its input through, and so does
-    the backward that follows that forward: the conv routes the gradient
-    through its own taps.
+    With fused set (CnnModel sets it for the span of a forward, when the
+    Conv2d before it, directly or through one ReLU, pools its own output),
+    forward and the backward after it hand their input through.
     """
 
     def __init__(self):
@@ -359,8 +352,7 @@ class MaxPool2x2(Layer):
 
     def backward(self, grad_out: Tensor) -> Tensor:
         out = _cached(self._out, "pool")
-        if grad_out.shape != out.shape:
-            raise DimensionError(f"pool gradient shape {grad_out.shape} does not match forward")
+        _check(grad_out, out.shape, "pool")
         if self._taps is None:
             return grad_out
         n, h, w, c = out.shape
@@ -370,16 +362,24 @@ class MaxPool2x2(Layer):
 
 
 class Relu(Layer):
+    """max(x, 0). With fused set (as MaxPool2x2's, between a conv and the
+    pool it pairs with), forward and the backward after it hand their
+    input through: the conv applies the ReLU run by run."""
+
     def __init__(self):
+        self.fused = self._through = False
         self._pool: dict = {}
         self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
-        self._out = np.maximum(x, 0.0, out=_pooled(self._pool, "out", x.shape))
+        self._through = self.fused
+        self._out = x if self.fused else np.maximum(x, 0.0, out=_pooled(self._pool, "out", x.shape))
         return self._out
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        return np.multiply(grad_out, _cached(self._out, "relu") > 0.0, out=grad_out)
+        out = _cached(self._out, "relu")
+        _check(grad_out, out.shape, "relu")
+        return grad_out if self._through else np.multiply(grad_out, out > 0.0, out=grad_out)
 
 
 class Flatten(Layer):
@@ -391,7 +391,9 @@ class Flatten(Layer):
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, grad_out: Tensor) -> Tensor:
-        return grad_out.reshape(_cached(self._in_shape, "flatten"))
+        shape = _cached(self._in_shape, "flatten")
+        _check(grad_out, (shape[0], math.prod(shape[1:])), "flatten")
+        return grad_out.reshape(shape)
 
 
 class Dense(Layer):
@@ -416,8 +418,7 @@ class Dense(Layer):
 
     def backward(self, grad_out: Tensor) -> Tensor:
         x = _cached(self._x, "dense")
-        if grad_out.shape != (x.shape[0], self.out_features):
-            raise DimensionError(f"dense gradient shape {grad_out.shape} does not match forward")
+        _check(grad_out, (len(x), self.out_features), "dense")
         self.grad_weights += grad_out.T @ x
         self.grad_bias += grad_out.sum(axis=0)
         grad_x = grad_out @ self.weights
@@ -440,4 +441,5 @@ class Sigmoid(Layer):
 
     def backward(self, grad_out: Tensor) -> Tensor:
         out = _cached(self._out, "sigmoid")
+        _check(grad_out, out.shape, "sigmoid")
         return grad_out * out * (1.0 - out)

@@ -281,7 +281,8 @@ class TestConvMatchesReference:
         # The bordered images, the bordered output gradients and the
         # patches are run-sized: at most _ROWS patch rows, or one image
         # when an image has more; the output is the only full-batch buffer.
-        # The patches of x and of the output gradient share one buffer.
+        # The patches of x and of the output gradient share one buffer, in
+        # the conv's workspace (its own, outside a CnnModel).
         rng = np.random.default_rng(12)
         conv = Conv2d(c_in, 4)
         conv.forward(rng.normal(size=(batch, side, side, c_in)))
@@ -289,8 +290,9 @@ class TestConvMatchesReference:
         images = max(1, _ROWS // (side * side))
         assert conv._pool["border"].shape == (images, side + 2, side + 2, c_in)
         assert conv._pool["gborder"].shape == (images, side + 2, side + 2, 4)
-        assert conv._pool["run_cols"].shape == (images * side * side, 9 * max(c_in, 4))
-        assert sorted(conv._pool) == ["border", "gborder", "out", "run_cols"]
+        assert sorted(conv._pool) == ["border", "gborder", "out"]
+        assert conv._work["run_cols"].shape == (images * side * side * 9 * max(c_in, 4),)
+        assert sorted(conv._work) == ["run_cols"]
 
     def test_patch_buffer_without_input_grad(self):
         # conv1 of the 64x64 net: only x is unrolled, so 9 c_in columns.
@@ -299,8 +301,8 @@ class TestConvMatchesReference:
         conv.input_grad = False
         conv.forward(rng.normal(size=(3, 64, 64, 1)))
         conv.backward(rng.normal(size=(3, 64, 64, 32)))
-        assert conv._pool["run_cols"].shape == (64 * 64, 9)
-        assert sorted(conv._pool) == ["border", "out", "run_cols"]
+        assert conv._work["run_cols"].shape == (64 * 64 * 9,)
+        assert sorted(conv._pool) == ["border", "out"]
 
     def test_bitwise_without_nans(self):
         rng = np.random.default_rng(5)
@@ -400,12 +402,18 @@ class TestPredictProba:
         model = reference_cnn(64, seed=31)
         x = np.random.default_rng([n, chunk]).random((n, 64, 64))
         p = model.predict_proba(x, chunk=chunk)
+        work = self._convs(model)[0]._work
+        cols = out = 0
         for conv in self._convs(model):
-            # Only run-sized patch buffers: no full-chunk patch matrix.
+            # Only run-sized patch buffers: no full-chunk patch matrix. The
+            # five convs share them, and inference unrolls 9 c_in columns.
+            assert conv._work is work
             border = conv._pool["border"]
-            rows = (border.shape[1] - 2) * (border.shape[2] - 2)
-            assert len(conv._pool["run_cols"]) <= max(_ROWS, rows)
+            rows = max(_ROWS, (border.shape[1] - 2) * (border.shape[2] - 2))
+            cols = max(cols, rows * 9 * conv.in_channels)
+            out = max(out, (rows + 1) * conv.out_channels)
             assert conv._x is None and not conv.forward_only
+        assert len(work["run_cols"]) <= cols and len(work["run_out"]) <= out
         want = np.concatenate(
             [model.forward(x[a : a + chunk, :, :, None]).copy() for a in range(0, n, chunk)]
         )
@@ -417,11 +425,14 @@ class TestPredictProba:
         want = model.forward(x[:, :, :, None]).copy()
         model.backward(np.ones(32))
         pools = [dict(conv._pool) for conv in self._convs(model)]
+        work = dict(self._convs(model)[0]._work)
         assert np.array_equal(bits(model.predict_proba(x)), bits(want))
         # Inference after a training step allocates no patch buffer.
         for conv, pool in zip(self._convs(model), pools):
             assert conv._pool.keys() == pool.keys()
             assert all(conv._pool[k] is buf for k, buf in pool.items())
+            assert conv._work.keys() == work.keys() == {"run_cols", "run_out"}
+            assert all(conv._work[k] is buf for k, buf in work.items())
         # The last forward kept no input, so there is nothing to backward.
         with pytest.raises(DimensionError, match="training forward"):
             model.backward(np.zeros(32))
@@ -505,9 +516,11 @@ class TestExecutionOrder:
         assert not any(conv.fuse_pool for conv in convs)
         for k in range(5):
             conv, relu, pool = stored[3 * k : 3 * k + 3]
-            # The ReLU between a paired conv and its pool sees the pooled values.
-            assert relu._out.shape == conv._taps.shape == pool._out.shape
-            assert not pool.fused
+            # The paired conv applies the ReLU to its pooled values, which
+            # the ReLU and the pool hand through, holding no buffer.
+            assert relu._out is conv._pool["pooled"] is pool._out
+            assert relu._out.shape == conv._taps.shape and not relu._pool
+            assert not pool.fused and not relu.fused and not conv.fuse_relu
         assert model.layers == stored  # the stored (GMD1) order is untouched
 
     def test_hand_built_conv_pairs_through_relu(self):
@@ -576,25 +589,31 @@ class TestExecutionOrder:
             assert np.array_equal(bits(a), bits(b))
 
 
-def block_step(conv, pool, x, g, fused):
-    """One forward and backward of conv -> pool, with the conv pooling its
-    own output (fused, as CnnModel.forward pairs them) or not: copies of
-    the pooled output, the input gradient and the parameter gradients."""
+def block_step(conv, pool, x, g, fused, relu=False):
+    """One forward and backward of conv -> pool (-> ReLU, with relu), with
+    the conv pooling its own output and applying the ReLU (fused, as
+    CnnModel.forward pairs them) or not: copies of the block's output, the
+    input gradient and the parameter gradients."""
+    act = Relu()
     conv.fuse_pool = pool.fused = fused
+    conv.fuse_relu = act.fused = fused and relu
     try:
         y = conv.forward(x)
         assert y.shape[1] == (x.shape[1] // 2 if fused else x.shape[1])
-        out = pool.forward(y).copy()
+        y = pool.forward(y)
+        out = (act.forward(y) if relu else y).copy()
+        assert not (fused and act._pool)  # a fused ReLU holds no buffer
     finally:
-        conv.fuse_pool = pool.fused = False
+        conv.fuse_pool = pool.fused = conv.fuse_relu = False
     conv.zero_grads()
-    gx = conv.backward(pool.backward(g.copy())).copy()
+    g = act.backward(g.copy()) if relu else g.copy()
+    gx = conv.backward(pool.backward(g)).copy()
     return [out, gx, conv.grad_weights.copy(), conv.grad_bias.copy()]
 
 
 class TestFusedConvPool:
-    """A conv that pools its own output run by run, against the conv and
-    the pool run one after the other, by bytes."""
+    """A conv that pools its own output run by run (and applies the ReLU
+    after the pool), against the layers run one after the other, by bytes."""
 
     @staticmethod
     def _block(c_in, c_out, seed, integer=False):
@@ -610,10 +629,13 @@ class TestFusedConvPool:
 
     @staticmethod
     def _compare(conv, pool, x, g):
-        got = block_step(conv, pool, x, g, fused=True)
-        want = block_step(conv, pool, x, g, fused=False)
-        for a, b in zip(got, want, strict=True):
-            assert np.array_equal(bits(a), bits(b))
+        # With relu, the fused conv also applies the ReLU to each pooled
+        # run and masks each run of the gradient, against a ReLU layer.
+        for relu in (False, True):
+            got = block_step(conv, pool, x, g, True, relu)
+            want = block_step(conv, pool, x, g, False, relu)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(bits(a), bits(b))
 
     @staticmethod
     def _gradient(rng, shape):
@@ -838,6 +860,22 @@ class TestDense:
 ], ids=["pool", "relu", "flatten", "dense", "sigmoid"])
 def test_backward_before_forward_raises(layer, grad):
     with pytest.raises(DimensionError, match="needs a forward first"):
+        layer.backward(grad)
+
+
+# A gradient numpy would broadcast, or reshape to the same size, and one
+# that numpy would refuse with a bare ValueError.
+@pytest.mark.parametrize("layer, x, grad", [
+    (Relu(), np.ones((1, 3)), np.ones((2, 3))),
+    (Relu(), np.ones((2, 3)), np.ones((1, 3))),
+    (Sigmoid(), np.ones((2, 1)), np.ones((2, 5))),
+    (Sigmoid(), np.ones((2, 5)), np.ones((2, 1))),
+    (Flatten(), np.ones((2, 3, 2, 1)), np.ones((1, 12))),
+    (Flatten(), np.ones((2, 3, 2, 1)), np.ones((2, 5))),
+], ids=["relu-broadcast", "relu", "sigmoid-broadcast", "sigmoid", "flatten-same-size", "flatten"])
+def test_backward_rejects_a_gradient_of_another_shape(layer, x, grad):
+    layer.forward(x)
+    with pytest.raises(DimensionError, match="gradient shape .* does not match forward"):
         layer.backward(grad)
 
 

@@ -1,7 +1,7 @@
 """Memory budgets: each command holds at most one float64 copy of its
-dataset, the helpers it calls build no full-size temporaries, and a CNN
-training step keeps no full-batch patch matrix, conv output or pool
-gradient.
+dataset, the helpers it calls build no full-size temporaries, a CNN
+training step keeps no full-batch patch matrix, conv output, ReLU output
+or pool gradient, and text outputs are written without a bytes copy.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 them next to Python objects. Each test bounds the peak of one call above
@@ -16,10 +16,13 @@ from glyphlab import (
     LabeledDataset, Rng, ingest_dir, pairwise_euclidean, read_gly, reference_cnn, write_gly,
 )
 from glyphlab.augment import preset
+from glyphlab.cli import _write_text
 from glyphlab.models import mlr_train
 from glyphlab.models.cnn import _bce_grad
 from glyphlab.models.config import mlr_defaults
 from glyphlab.models.layers import _runs, Conv2d, MaxPool2x2
+
+MiB = 2**20
 
 
 def traced_peak(fn, *args):
@@ -122,27 +125,81 @@ def test_cnn_training_step_keeps_run_sized_patches():
     # Inference first, so the step's traced peak leaves out the buffers
     # a forward-only pass already holds at this batch.
     model.predict_proba(x, chunk=n)
+    inference_cols = convs[0]._work["run_cols"]
 
     def step():
         model.backward(_bce_grad(model.forward(x[:, :, :, None]), y))
 
     _, peak = traced_peak(step)
+    cols = out = 0
     for i, (conv, pool) in enumerate(zip(convs, pools)):
         side = 64 >> i
         runs = _runs(n, side * side)
         run_rows = (runs[-1] - runs[-2]) * side * side
-        # Patches (of x and of the output gradient) and conv outputs hold
-        # one run of rows (plus backward's bias-gradient carry row), never
-        # n * h * w rows where the batch spans several runs (conv1-conv3).
-        assert all(len(a) <= run_rows + 1 for a in conv._pool.values() if a.ndim == 2)
+        cols = max(cols, run_rows * 9 * max(conv.in_channels, conv.out_channels))
+        out = max(out, (run_rows + 1) * conv.out_channels)
         # The pool keeps nothing larger than its output: no input gradient.
         pooled = n * (side // 2) ** 2 * conv.out_channels
         assert all(a.size <= pooled for a in arrays(pool))
+    # Patches (of x and of the output gradient) and conv products hold one
+    # run of rows (plus backward's bias-gradient carry row), never n * h * w
+    # rows where the batch spans several runs (conv1-conv3).
+    work = convs[0]._work
+    assert len(work["run_cols"]) <= cols and len(work["run_out"]) <= out
     # What the step adds to inference's buffers: each conv's bordered run
-    # of the output gradient and winning taps, and the input gradients of
-    # conv2 and conv3, which are alive together in conv2's backward; 1 MiB
-    # spare for run-sized temporaries. The unfused blocks peaked 27.6 MiB
-    # higher, with block 1's full-batch pool gradient (16 MiB) among them.
+    # of the output gradient and winning taps, the shared patch buffer
+    # once it is widened from inference's 9 c_in columns to 9 max(c_in,
+    # c_out) (conv3's), and the input gradients of conv2 and conv3, which
+    # are alive together in conv2's backward; 1 MiB spare for run-sized
+    # temporaries. The unfused blocks peaked 27.6 MiB higher, with block
+    # 1's full-batch pool gradient (16 MiB) among them.
     added = sum(conv._pool[k].nbytes for conv in convs for k in ("gborder", "taps") if k in conv._pool)
+    if work["run_cols"] is not inference_cols:
+        added += work["run_cols"].nbytes
     input_grads = 8 * n * (32 * 32 * 32 + 16 * 16 * 32)
     assert peak < added + input_grads + 2**20
+
+
+def held_bytes(model):
+    """Bytes of the distinct buffers that model's layers hold, each base
+    array counted once however many views of it the layers keep."""
+    bases = {}
+
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            bases[id(v)] = v
+        elif isinstance(v, (dict, list, tuple)):
+            for item in v.values() if isinstance(v, dict) else v:
+                walk(item)
+
+    for layer in model.layers:
+        walk(vars(layer))
+    return sum(a.nbytes for a in bases.values())
+
+
+def test_cnn_step_holds_one_workspace_and_no_relu_outputs():
+    n = 16
+    model = reference_cnn(64, seed=5)
+    x = np.random.default_rng(6).random((n, 64, 64, 1))
+    model.backward(_bce_grad(model.forward(x), (np.arange(n) % 2).astype(np.float64)))
+    # Parameters and gradients (3.1 MiB), each block's pooled output and
+    # winning taps (6.4 MiB), each conv's bordered runs (5.5 MiB) and one
+    # run workspace shared by the five convs (10.0 MiB) come to 25.0 MiB.
+    # A patch buffer and product per conv, plus a full output per ReLU
+    # beside the pooled conv output it equals after the ReLU, held 44.5.
+    assert held_bytes(model) < 27 * MiB
+
+
+def test_write_text_encodes_without_a_bytes_copy(tmp_path):
+    # Mixed 1-4 byte UTF-8 characters, so slices end inside runs of them.
+    text = ("a" * 36 + "\u00e9\u20ac\U0001d11e\n") * (MiB // 4 + 3)
+    path = tmp_path / "sub" / "t.svg"
+    _, peak = traced_peak(_write_text, path, text)
+    want = text.encode("utf-8")
+    assert path.read_bytes() == want
+    # A slice of 2**20 of these characters is 4 MiB as a str, and encoding
+    # it reserves 4 bytes a character before it shrinks: 8 MiB at most.
+    # One .encode() of the whole text reserved 40 MiB for its 11.5 MiB.
+    assert len(want) > 11 * MiB and peak < 10 * MiB
