@@ -88,7 +88,7 @@ class TsneConfig:
     def __post_init__(self):
         if self.out_dims < 1:
             raise ArgumentError(f"out_dims must be >= 1, got {self.out_dims}")
-        if self.perplexity < 1.0:
+        if not self.perplexity >= 1.0:  # so NaN fails too
             raise ArgumentError(f"perplexity must be >= 1, got {self.perplexity}")
         if self.iters < 1:
             raise ArgumentError(f"iters must be >= 1, got {self.iters}")
@@ -182,7 +182,7 @@ def calibrate_row(distances_row: Tensor, perplexity: float) -> tuple[float, Tens
     row = np.asarray(distances_row, dtype=np.float64)
     if row.ndim != 1 or row.size < 1:
         raise ArgumentError(f"need a non-empty 1-d distance row, got shape {row.shape}")
-    if perplexity < 1.0:
+    if not perplexity >= 1.0:  # so NaN fails too
         raise ArgumentError(f"perplexity must be >= 1, got {perplexity}")
 
     d2 = row * row

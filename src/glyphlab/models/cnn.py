@@ -4,18 +4,22 @@ The reference network is a pyramid: five conv/pool blocks whose spatial
 extent halves while channels grow 1 -> 32 -> 32 -> 64 -> 64 -> 128,
 then a 128-unit dense layer and a sigmoid output. At 64x64 input that
 is 204,641 trainable parameters. Forward and backward walk the layers
-in their stored (GMD1) order, a block being conv -> ReLU -> pool. Each
-forward pairs every conv with its block's pool and ReLU: the conv pools
-its output run by run, applies the ReLU to the pooled quarter of the
-values, and masks and routes the pooled gradient back itself, while
-the ReLU and the pool hand the pooled tensor through. Max commutes with
-ReLU, so the values are those of each layer run on its own; a window
-whose max is positive routes its gradient to the same tap, and
-otherwise only a zero moves, which changes no sum's bits. The convs
-share one run-sized workspace for their patches and products. Loss is
-binary cross-entropy; training augments each epoch's shuffled batch
-stream with fresh draws, keeps validation clean, and returns the
-parameters from the epoch with the lowest validation loss.
+in their stored (GMD1) order, a block being conv -> ReLU -> pool. Every
+forward marks each conv of more than one channel that a ReLU and then a
+pool follow directly, and that ReLU and pool, with fused = True (every
+other conv, ReLU and pool gets False); the marks stay until the next
+forward, and a layer used on its own keeps fused = False. A marked conv
+pools its output run by run and applies the ReLU to the pooled quarter
+of the values, the marked ReLU and pool hand the pooled tensor through,
+and on the way back the ReLU masks the pooled gradient and the conv
+routes it to the winning taps. Max commutes with ReLU, so the values
+are those of each layer run on its own; a window whose max is positive
+routes its gradient to the same tap, and otherwise only a zero moves,
+which changes no sum's bits. The convs share one run-sized workspace
+for their patches and products. Loss is binary cross-entropy; training
+augments each epoch's shuffled batch stream with fresh draws, keeps
+validation clean, and returns the parameters from the epoch with the
+lowest validation loss.
 """
 
 from __future__ import annotations
@@ -45,36 +49,26 @@ class CnnModel:
         for layer in self.layers:
             if isinstance(layer, Conv2d):
                 layer._work = work
-        if self.layers and isinstance(self.layers[0], Conv2d):
-            # backward discards the images' gradient, so it is never built
-            self.layers[0].input_grad = False
 
     def forward(self, x: Tensor) -> Tensor:
-        # Pair each conv with the pool after it, directly or after one
-        # Relu (which the conv then applies), for this forward only; each
+        # Mark the blocks this forward fuses (see the module docstring); each
         # backward reads what its forward kept. A one-channel conv stays
-        # unpaired: numpy sums its lone bias column pairwise, which a
-        # run-by-run carry cannot reproduce.
+        # unmarked: numpy sums its lone bias column pairwise, which a
+        # run-by-run carry cannot reproduce. Only the first layer's input,
+        # the images, needs no gradient.
         layers = self.layers
-        blocks = []
-        for conv, nxt, nxt2 in zip(layers, layers[1:], layers[2:] + [None]):
-            block = [conv, nxt, nxt2] if isinstance(nxt, Relu) else [conv, nxt]
-            pool = block[-1]
-            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2x2) and conv.out_channels > 1:
-                blocks.append(block)
-
-        def pair(on):
-            for conv, *fused in blocks:
-                conv.fuse_pool, conv.fuse_relu = on, on and len(fused) == 2
-                for layer in fused:
-                    layer.fused = on
-
-        pair(True)
-        try:
-            for layer in layers:
-                x = layer.forward(x)
-        finally:
-            pair(False)
+        marks = [False] * len(layers)
+        for i, conv in enumerate(layers):
+            if isinstance(conv, Conv2d):
+                conv.input_grad = i > 0
+                relu, pool = [*layers[i + 1 : i + 3], None, None][:2]
+                if conv.out_channels > 1 and isinstance(relu, Relu) and isinstance(pool, MaxPool2x2):
+                    marks[i : i + 3] = True, True, True
+        for layer, mark in zip(layers, marks):
+            if isinstance(layer, (Conv2d, Relu, MaxPool2x2)):
+                layer.fused = mark
+        for layer in layers:
+            x = layer.forward(x)
         return x.reshape(-1)
 
     def backward(self, grad_p: Tensor) -> None:

@@ -29,27 +29,31 @@ most _ROWS patch rows (one image, when an image has more):
   the flipped kernel into the run's input gradient. Both round unlike
   the full-batch product and the col2im scatter they replaced, so the
   training bits changed once with each.
-- A conv that CnnModel pairs with its block's max-pool (fuse_pool)
-  pools each run's product as soon as it is in a run-sized buffer and
-  keeps one uint8 winning tap per window; with the block's ReLU between
-  them (fuse_relu) it applies the ReLU to each pooled run too. Its
-  backward masks each run of the pooled gradient by that ReLU, routes it
-  through the taps into the run-sized buffer, and carries the bias
-  gradient's column sums into the next run as a leading row, which
-  continues the row order of one full-batch g.sum(axis=0). So no
-  full-batch conv output, pool input gradient or ReLU output exists, and
-  every bit matches the layers run one by one.
+- CnnModel fuses each block of a conv of more than one channel, then a
+  Relu, then a MaxPool2x2: every forward sets fused on those three
+  layers (False on every other conv, ReLU and pool), and the marks stay
+  until the next forward; a layer used on its own keeps fused = False.
+  A fused conv pools each run's product as soon as it is in a run-sized
+  buffer, keeps one uint8 winning tap per window, and applies the ReLU
+  to each pooled run; the fused ReLU and pool hand their input through.
+  On the way back the ReLU masks the pooled gradient as always, and the
+  conv routes each run of it through the taps into the run-sized buffer
+  and carries the bias gradient's column sums into the next run as a
+  leading row, which continues the row order of one full-batch
+  g.sum(axis=0). So no full-batch conv output, pool input gradient or
+  ReLU output exists, and every bit matches the layers run one by one.
 
 The runs are near-equal in length, not full runs plus a short rest: a
 product split by rows keeps the bits of the whole product only while
 every piece runs through the BLAS general kernel, and a one-row piece
 goes to a matrix-vector kernel that rounds differently. A convolution
-whose input needs no gradient (the network's first) has input_grad set
-to False: its backward skips the gradient's unroll and product.
+whose input needs no gradient (a CnnModel's first layer, on every
+forward) has input_grad set to False: its backward skips the gradient's
+unroll and product.
 
 Full-batch buffers live per layer, keyed by shape, which spares
-re-faulting their pages on every call: a paired conv's pooled output
-and taps, else its product; an unpaired ReLU's output or pool's input
+re-faulting their pages on every call: a fused conv's pooled output
+and taps, else its product; an unfused ReLU's output or pool's input
 gradient. Each conv's bordered runs (of its input and of its output
 gradient) are its own, since their border is written once. The
 run-sized patches and product are leading elements of flat buffers in
@@ -186,14 +190,13 @@ class Conv2d(Layer):
     accumulates the parameter gradients only and returns a read-only
     all-NaN array of the input's shape in place of the input gradient.
 
-    With fuse_pool set (CnnModel sets it for the span of a forward, when
-    a MaxPool2x2 follows this conv directly or after one ReLU), forward
-    returns the 2x2 max-pool of the output and keeps each window's
-    winning tap, and the backward that follows takes the pooled gradient.
-    With fuse_relu set too (the ReLU sits between them), forward applies
-    the ReLU to the pooled output and backward masks the gradient by it.
-    Values and bits are those of the layers run one after the other,
-    given more than one output channel (the only convs CnnModel pairs).
+    With fused set (CnnModel sets it on every forward when this conv has
+    more than one output channel and a Relu and then a MaxPool2x2 follow
+    it; on its own it stays False), forward returns the ReLU of the 2x2
+    max-pool of the output and keeps each window's winning tap, and the
+    backward that follows takes the pooled gradient, which the Relu has
+    already masked. Values and bits are those of the layers run one
+    after the other.
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -206,10 +209,10 @@ class Conv2d(Layer):
         self.params = [self.weights, self.bias]
         self.grads = [self.grad_weights, self.grad_bias]
         self.input_grad = True
-        self.forward_only = self.fuse_pool = self.fuse_relu = False
+        self.forward_only = self.fused = False
         self._pool: dict = {}
         self._work: dict = {}
-        self._x = self._taps = self._relu = None
+        self._x = self._taps = None
 
     def _wmat(self) -> Tensor:
         # (9*in, out) in the patch row order: taps row-major, channels fastest.
@@ -233,7 +236,7 @@ class Conv2d(Layer):
             raise DimensionError(f"conv expects (n, h, w, {self.in_channels}), got {x.shape}")
         n, h, w, c = x.shape
         o = self.out_channels
-        if self.fuse_pool and (h % 2 or w % 2):
+        if self.fused and (h % 2 or w % 2):
             raise DimensionError(f"pooling needs even extents, got {h}x{w}")
         runs = _runs(n, h * w)
         longest = runs[-1] - runs[-2]
@@ -242,20 +245,18 @@ class Conv2d(Layer):
         width = c if self.forward_only or not self.input_grad else max(c, o)
         _lead(self._work, "run_cols", longest * h * w, 9 * width)
         wmat = self._wmat()
-        taps = relu = None
-        if self.fuse_pool:
+        taps = None
+        if self.fused:
             # Row 0 is left for backward's bias-gradient carry.
             run_out = _lead(self._work, "run_out", longest * h * w + 1, o)
             out = _pooled(self._pool, "pooled", (n, h // 2, w // 2, o))
             if not self.forward_only:
                 taps = _pooled(self._pool, "taps", out.shape, dtype=np.uint8)
-            relu = out if self.fuse_relu else None
             for a, b in zip(runs, runs[1:]):
                 y = np.matmul(self._patches(x[a:b], "border"), wmat, out=run_out[1 : (b - a) * h * w + 1])
                 y += self.bias
                 _max_pool(y.reshape(b - a, h, w, -1), out[a:b], None if taps is None else taps[a:b])
-                if relu is not None:
-                    np.maximum(out[a:b], 0.0, out=out[a:b])
+                np.maximum(out[a:b], 0.0, out=out[a:b])
         else:
             out = _pooled(self._pool, "out", (n * h * w, o))
             for a, b in zip(runs, runs[1:]):
@@ -263,7 +264,7 @@ class Conv2d(Layer):
             out += self.bias
             out = out.reshape(n, h, w, o)
         self._x = None if self.forward_only else x
-        self._taps, self._relu = taps, relu
+        self._taps = taps
         return out
 
     def backward(self, grad_out: Tensor) -> Tensor:
@@ -275,9 +276,9 @@ class Conv2d(Layer):
             )
         n, h, w, c = x.shape
         o = self.out_channels
-        taps, relu = self._taps, self._relu
+        taps = self._taps
         _check(grad_out, (n, h, w, o) if taps is None else taps.shape, "conv")
-        self._x = self._taps = self._relu = None
+        self._x = self._taps = None
         # A fresh gx keeps the peak RSS below a pooled one.
         runs = _runs(n, h * w)
         if taps is None:
@@ -297,8 +298,6 @@ class Conv2d(Layer):
                 g_run = g[a * h * w : b * h * w]
             else:
                 g_run = run_out[1 : (b - a) * h * w + 1]
-                if relu is not None:
-                    np.multiply(grad_out[a:b], relu[a:b] > 0.0, out=grad_out[a:b])
                 _unpool(grad_out[a:b], taps[a:b], g_run.reshape(b - a, h, w, -1))
                 # The bias gradient continues the column sums of g.sum(axis=0)
                 # over the whole batch, which adds the rows in order from the
@@ -324,9 +323,10 @@ class MaxPool2x2(Layer):
     every other input gets an exact +0.0. forward keeps each window's
     winning tap (one uint8), not its input.
 
-    With fused set (CnnModel sets it for the span of a forward, when the
-    Conv2d before it, directly or through one ReLU, pools its own output),
-    forward and the backward after it hand their input through.
+    With fused set (CnnModel sets it on every forward when this pool ends
+    a conv -> ReLU -> pool block whose conv pools its own output; on its
+    own it stays False), forward and the backward after it hand their
+    input through.
     """
 
     def __init__(self):
@@ -362,24 +362,25 @@ class MaxPool2x2(Layer):
 
 
 class Relu(Layer):
-    """max(x, 0). With fused set (as MaxPool2x2's, between a conv and the
-    pool it pairs with), forward and the backward after it hand their
-    input through: the conv applies the ReLU run by run."""
+    """max(x, 0). With fused set (CnnModel sets it on every forward for
+    the ReLU between a conv and a pool that the conv fuses; on its own it
+    stays False), forward hands its input through, as the conv has
+    already applied the ReLU run by run. backward always masks grad_out
+    in place by the forward's output being positive."""
 
     def __init__(self):
-        self.fused = self._through = False
+        self.fused = False
         self._pool: dict = {}
         self._out = None
 
     def forward(self, x: Tensor) -> Tensor:
-        self._through = self.fused
         self._out = x if self.fused else np.maximum(x, 0.0, out=_pooled(self._pool, "out", x.shape))
         return self._out
 
     def backward(self, grad_out: Tensor) -> Tensor:
         out = _cached(self._out, "relu")
         _check(grad_out, out.shape, "relu")
-        return grad_out if self._through else np.multiply(grad_out, out > 0.0, out=grad_out)
+        return np.multiply(grad_out, out > 0.0, out=grad_out)
 
 
 class Flatten(Layer):

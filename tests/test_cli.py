@@ -88,11 +88,11 @@ class TestIngest:
 
 
 class TestTsne:
-    def _run(self, tmp_path, gly, seed="5", iters="40"):
+    def _run(self, tmp_path, gly, seed="5", iters="40", perplexity="4"):
         csv = tmp_path / "emb.csv"
         svg = tmp_path / "emb.svg"
         rc = main(
-            ["tsne", "--input", str(gly), "--iters", iters, "--perplexity", "4",
+            ["tsne", "--input", str(gly), "--iters", iters, "--perplexity", perplexity,
              "--seed", seed, "--out-csv", str(csv), "--out-svg", str(svg)]
         )
         return rc, csv, svg
@@ -126,6 +126,20 @@ class TestTsne:
         text = svg.read_text()
         fills = {line.split('fill="')[1].split('"')[0] for line in text.splitlines() if "<circle" in line}
         assert len(fills) == 10
+
+    def test_nan_perplexity_exit_2_before_writing(self, tmp_path, shapes_gly):
+        rc, csv, svg = self._run(tmp_path, shapes_gly, perplexity="nan")
+        assert rc == 2
+        assert not csv.exists() and not svg.exists()
+
+    def test_inf_perplexity_clamps_to_the_largest(self, tmp_path, shapes_gly):
+        # 16 points clamp every perplexity above 5 to (16 - 1) / 3 = 5.
+        outputs = []
+        for perplexity in ("inf", "5"):
+            rc, csv, svg = self._run(tmp_path / perplexity, shapes_gly, perplexity=perplexity)
+            assert rc == 0
+            outputs.append((csv.read_bytes(), svg.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_unknown_class_exit_2(self, tmp_path, shapes_gly):
         rc = main(

@@ -360,6 +360,13 @@ class TestTsne:
         with pytest.raises(ArgumentError, match="exaggeration_iters must be >= 0"):
             TsneConfig(iters=10, exaggeration_iters=-1)
 
+    @pytest.mark.parametrize("perplexity", [0.5, float("nan")])
+    def test_rejects_perplexity_below_one_or_nan(self, perplexity):
+        with pytest.raises(ArgumentError, match="perplexity must be >= 1"):
+            TsneConfig(perplexity=perplexity)
+        with pytest.raises(ArgumentError, match="perplexity must be >= 1"):
+            calibrate_row(np.arange(1.0, 5.0), perplexity)
+
 
 class TestHclusterAverage:
     def test_unique_minimum_merges_first(self):

@@ -448,7 +448,6 @@ class TestModelBackward:
     def test_parameter_gradients_match_full_layer_backward_bitwise(self):
         model = reference_cnn(32, seed=21)
         convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
-        assert [c.input_grad for c in convs] == [False, True, True, True, True]
         rng = np.random.default_rng(22)
         x = rng.random((5, 32, 32, 1))
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
@@ -456,10 +455,12 @@ class TestModelBackward:
         model.zero_grads()
         model.backward(_bce_grad(model.forward(x), y))
         skipped = [g.copy() for g in model.grads]
+        # Each forward spares the first layer's input gradient only.
+        assert [c.input_grad for c in convs] == [False, True, True, True, True]
 
-        model.layers[0].input_grad = True
         model.zero_grads()
         g = _bce_grad(model.forward(x), y).reshape(-1, 1)
+        model.layers[0].input_grad = True
         for layer in reversed(model.layers):
             g = layer.backward(g)
         assert g.shape == x.shape and np.isfinite(g).all()
@@ -469,9 +470,12 @@ class TestModelBackward:
 
 def list_order_step(model, x, y):
     """Forward and backward over model.layers in stored order, each layer
-    on its own (no conv paired with its pool): the probabilities and the
-    accumulated parameter gradients."""
+    on its own (every fused mark cleared, no conv pooling its output): the
+    probabilities and the accumulated parameter gradients."""
     model.zero_grads()
+    for layer in model.layers:
+        if isinstance(layer, (Conv2d, Relu, MaxPool2x2)):
+            layer.fused = False
     h = x
     for layer in model.layers:
         h = layer.forward(h)
@@ -483,9 +487,9 @@ def list_order_step(model, x, y):
 
 
 class TestExecutionOrder:
-    """CnnModel runs model.layers in stored order and pairs each conv of
-    more than one channel with the pool after it, directly or after
-    exactly one Relu; every other block runs layer by layer."""
+    """CnnModel runs model.layers in stored order and fuses each conv of
+    more than one channel that exactly one Relu and then a MaxPool2x2
+    follow; every other block runs layer by layer."""
 
     @staticmethod
     def _model(layers, seed):
@@ -505,7 +509,7 @@ class TestExecutionOrder:
         want_p, want_grads = list_order_step(model, x, y)
         assert np.array_equal(bits(p), bits(want_p))
         for a, b in zip(grads, want_grads, strict=True):
-            assert np.array_equal(bits(a), bits(b))
+            assert np.isfinite(a).all() and np.array_equal(bits(a), bits(b))
 
     def test_reference_net_pools_before_relu(self):
         model = reference_cnn(32)
@@ -513,14 +517,15 @@ class TestExecutionOrder:
         model.forward(np.random.default_rng(0).random((2, 32, 32, 1)))
         convs = [layer for layer in stored if isinstance(layer, Conv2d)]
         assert len(convs) == 5 and all(conv._taps is not None for conv in convs)
-        assert not any(conv.fuse_pool for conv in convs)
         for k in range(5):
             conv, relu, pool = stored[3 * k : 3 * k + 3]
-            # The paired conv applies the ReLU to its pooled values, which
-            # the ReLU and the pool hand through, holding no buffer.
+            # The fused conv applies the ReLU to its pooled values, which
+            # the ReLU and the pool hand through, holding no buffer; the
+            # marks stay for the backward.
             assert relu._out is conv._pool["pooled"] is pool._out
             assert relu._out.shape == conv._taps.shape and not relu._pool
-            assert not pool.fused and not relu.fused and not conv.fuse_relu
+            assert conv.fused and relu.fused and pool.fused
+        assert not stored[-3].fused  # the head's ReLU runs on its own
         assert model.layers == stored  # the stored (GMD1) order is untouched
 
     def test_hand_built_conv_pairs_through_relu(self):
@@ -558,6 +563,61 @@ class TestExecutionOrder:
         model.forward(x)
         assert conv._taps is not None and model.layers[1]._out.shape == (2, 16, 16, 32)
 
+    @pytest.mark.parametrize("inserted", [[Conv2d(1, 1)], [Conv2d(1, 1), Relu()]], ids=["conv", "conv-relu"])
+    def test_input_gradient_follows_an_inserted_first_layer(self, inserted):
+        # The old first conv now needs its input gradient: the inserted
+        # layers' backward reads it.
+        model = reference_cnn(32, seed=7)
+        model.layers[:0] = inserted
+        inserted[0].weights[...] = np.random.default_rng(8).normal(size=(1, 1, 3, 3))
+        x = np.random.default_rng(9).random((3, 32, 32, 1))
+        self._assert_same_as_list_order(model, x, np.array([0.0, 1.0, 1.0]))
+        assert [c.input_grad for c in model.layers if isinstance(c, Conv2d)] == [False] + [True] * 5
+
+    @staticmethod
+    def _random_net(rng):
+        # One or two blocks of a conv of one or 2-3 channels, then ReLU ->
+        # pool, an extra ReLU before the pool, or the pool alone; a dense
+        # head. Also the input side (4 to 16) that the pools bring to 2 or 4.
+        blocks, side = int(rng.integers(1, 3)), int(rng.choice([2, 4]))
+        layers, c_in = [], 1
+        for _ in range(blocks):
+            c_out = int(rng.choice([1, 2, 3]))
+            tail = [[Relu(), MaxPool2x2()], [Relu(), Relu(), MaxPool2x2()], [MaxPool2x2()]]
+            layers += [Conv2d(c_in, c_out)] + tail[int(rng.integers(3))]
+            c_in = c_out
+        head = [Flatten(), Dense(side * side * c_in, 2), Relu(), Dense(2, 1), Sigmoid()]
+        return layers + head, side * 2**blocks
+
+    @staticmethod
+    def _edit(layers, rng):
+        # Insert or delete a Relu, or swap a pool with a Relu beside it.
+        kind = int(rng.integers(3))
+        relus = [i for i, layer in enumerate(layers) if isinstance(layer, Relu)]
+        pools = [i for i, layer in enumerate(layers) if isinstance(layer, MaxPool2x2)]
+        if kind == 1 and relus:
+            del layers[int(rng.choice(relus))]
+        elif kind == 2:
+            i = int(rng.choice(pools))
+            j = i - 1 if isinstance(layers[i - 1], Relu) else i + 1
+            if isinstance(layers[j], Relu):
+                layers[i], layers[j] = layers[j], layers[i]
+            else:
+                layers[i] = MaxPool2x2()
+        else:
+            layers.insert(int(rng.integers(len(layers) + 1)), Relu())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_nets_and_edits_bitwise_equal_to_list_order(self, seed):
+        rng = np.random.default_rng([seed, 51])
+        layers, side = self._random_net(rng)
+        model = self._model(layers, seed)
+        n = int(rng.choice([3, 9]))  # 9 images of 16x16 make two runs
+        x = rng.random((n, side, side, 1))
+        for _ in range(4):
+            self._assert_same_as_list_order(model, x, (rng.random(n) < 0.5).astype(float))
+            self._edit(model.layers, rng)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_list_order_with_nonpositive_windows(self, seed):
         # Negative conv biases leave about half the pool windows with
@@ -589,31 +649,27 @@ class TestExecutionOrder:
             assert np.array_equal(bits(a), bits(b))
 
 
-def block_step(conv, pool, x, g, fused, relu=False):
-    """One forward and backward of conv -> pool (-> ReLU, with relu), with
-    the conv pooling its own output and applying the ReLU (fused, as
-    CnnModel.forward pairs them) or not: copies of the block's output, the
-    input gradient and the parameter gradients."""
-    act = Relu()
-    conv.fuse_pool = pool.fused = fused
-    conv.fuse_relu = act.fused = fused and relu
-    try:
-        y = conv.forward(x)
-        assert y.shape[1] == (x.shape[1] // 2 if fused else x.shape[1])
-        y = pool.forward(y)
-        out = (act.forward(y) if relu else y).copy()
-        assert not (fused and act._pool)  # a fused ReLU holds no buffer
-    finally:
-        conv.fuse_pool = pool.fused = conv.fuse_relu = False
+def block_step(conv, pool, x, g, fused):
+    """One forward and backward of conv -> pool -> ReLU, marked fused (as
+    CnnModel.forward marks a conv -> ReLU -> pool block: the conv pools its
+    own output and applies the ReLU, the pool and ReLU hand it through) or
+    not: copies of the block's output, the input gradient and the
+    parameter gradients. Unfused, the ReLU runs after the pool, as the
+    fused conv applies it."""
+    relu = Relu()
+    conv.fused = relu.fused = pool.fused = fused
+    y = conv.forward(x)
+    assert y.shape[1] == (x.shape[1] // 2 if fused else x.shape[1])
+    out = relu.forward(pool.forward(y)).copy()
+    assert not (fused and relu._pool)  # a fused ReLU holds no buffer
     conv.zero_grads()
-    g = act.backward(g.copy()) if relu else g.copy()
-    gx = conv.backward(pool.backward(g)).copy()
+    gx = conv.backward(pool.backward(relu.backward(g.copy()))).copy()
     return [out, gx, conv.grad_weights.copy(), conv.grad_bias.copy()]
 
 
 class TestFusedConvPool:
-    """A conv that pools its own output run by run (and applies the ReLU
-    after the pool), against the layers run one after the other, by bytes."""
+    """A conv that pools its own output run by run and applies the ReLU
+    after the pool, against the layers run one after the other, by bytes."""
 
     @staticmethod
     def _block(c_in, c_out, seed, integer=False):
@@ -629,13 +685,10 @@ class TestFusedConvPool:
 
     @staticmethod
     def _compare(conv, pool, x, g):
-        # With relu, the fused conv also applies the ReLU to each pooled
-        # run and masks each run of the gradient, against a ReLU layer.
-        for relu in (False, True):
-            got = block_step(conv, pool, x, g, True, relu)
-            want = block_step(conv, pool, x, g, False, relu)
-            for a, b in zip(got, want, strict=True):
-                assert np.array_equal(bits(a), bits(b))
+        got = block_step(conv, pool, x, g, True)
+        want = block_step(conv, pool, x, g, False)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(bits(a), bits(b))
 
     @staticmethod
     def _gradient(rng, shape):
@@ -694,19 +747,20 @@ class TestModelPairsConvAndPool:
         dense.weights[...] = rng.normal(size=dense.weights.shape)
         return CnnModel([conv, relu, pool, Flatten(), dense, Sigmoid()])
 
-    def test_pairs_for_one_forward_only(self):
+    def test_marks_stay_until_the_next_forward(self):
         model = self._model()
-        conv, pool = model.layers[0], model.layers[2]
+        block = model.layers[:3]
         x = np.random.default_rng(1).random((2, 4, 4, 1))
         p = model.forward(x).copy()
-        assert conv._taps is not None and "out" not in conv._pool  # it ran fused
-        assert not conv.fuse_pool and not pool.fused  # and the pairing is over
+        assert block[0]._taps is not None and "out" not in block[0]._pool  # it ran fused
         model.backward(np.ones(2))
-        want, _ = list_order_step(model, x, np.zeros(2))
+        assert all(layer.fused for layer in block)  # the backward reads the marks
+        want, _ = list_order_step(model, x, np.zeros(2))  # which clears them
         assert np.array_equal(bits(p), bits(want))
-        with pytest.raises(DimensionError):  # a failing forward unpairs too
+        with pytest.raises(DimensionError):  # a failing forward marks them too
             model.forward(np.zeros((2, 4, 6, 1)))
-        assert not conv.fuse_pool and not pool.fused
+        assert all(layer.fused for layer in block)
+        assert np.array_equal(bits(model.forward(x)), bits(p))
 
     def test_paired_pool_backward_before_forward_raises(self):
         pool = self._model().layers[2]
@@ -741,7 +795,7 @@ class TestModelPairsConvAndPool:
         conv = Conv2d(1, 1)
         model = CnnModel([conv, Relu(), MaxPool2x2(), Flatten(), Dense(4, 1), Sigmoid()])
         model.forward(np.ones((2, 4, 4, 1)))
-        assert conv._taps is None and "out" in conv._pool
+        assert conv._taps is None and "out" in conv._pool and not conv.fused
 
 
 class TestMaxPool:

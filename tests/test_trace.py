@@ -4,7 +4,8 @@ perfbench/tracer.py wraps each layer's forward and backward on its class
 and times them from outside the package; the benchmark's span-count
 self-check expects one conv, ReLU and pool span per block, direction and
 batch. This runs the tracer unchanged on a tiny train-cnn and evaluate
-and counts.
+and counts, and on an evaluate of a hand-built net whose blocks run
+layer by layer.
 """
 
 import json
@@ -16,8 +17,10 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 from conftest import make_shapes_dataset
-from glyphlab import reference_cnn, save_model, write_gly
+from glyphlab import CnnModel, reference_cnn, save_model, write_gly
+from glyphlab.models.layers import Conv2d, Dense, Flatten, MaxPool2x2, Relu, Sigmoid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +75,25 @@ def test_evaluate_traces_forward_spans_per_chunk_only(tmp_path):
     assert {name: got[name] for name in want} == want
     assert got["cnn.backward"] == 0
     assert not [name for name in got if name.endswith(".bwd")]
+
+
+def test_evaluate_traces_unfused_blocks_per_chunk(tmp_path):
+    # A one-channel conv -> ReLU -> pool and a conv -> pool with no ReLU
+    # run layer by layer; the last block fuses.
+    rng = np.random.default_rng(6)
+    layers = [Conv2d(1, 1), Relu(), MaxPool2x2(), Conv2d(1, 3), MaxPool2x2(),
+              Conv2d(3, 2), Relu(), MaxPool2x2(), Flatten(), Dense(32, 1), Sigmoid()]
+    for layer in layers:
+        if isinstance(layer, (Conv2d, Dense)):
+            layer.weights[...] = rng.normal(size=layer.weights.shape)
+    n_test, chunk = 40, 32
+    write_gly(make_shapes_dataset(n_test // 2, side=32, seed=7), tmp_path / "test.gly")
+    save_model(CnnModel(layers), tmp_path / "cnn.gmd")
+    got = trace(tmp_path, ["evaluate", "--model", "cnn.gmd", "--data", "test.gly",
+                           "--out-csv", "eval.csv", "--roc-svg", "roc.svg"])
+
+    chunks = math.ceil(n_test / chunk)
+    labels = ["conv1", "relu1", "pool1", "conv2", "pool2", "conv3", "relu2", "pool3", "dense", "sigmoid"]
+    assert got["cnn.forward"] == chunks
+    assert {name: count for name, count in got.items() if name.startswith("layers.")} == {
+        f"layers.{label}.fwd": chunks for label in labels}
