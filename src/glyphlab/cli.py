@@ -101,20 +101,31 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_dataset(path) -> LabeledDataset:
+def _load_dataset(path, classes=None) -> LabeledDataset:
     p = Path(path)
     if not p.is_file():
         raise ArgumentError(f"no such dataset file: {path}")
-    return read_gly(p)
+    return read_gly(p, classes)
 
 
-def _parse_classes(ds: LabeledDataset, spec: str | None, minimum: int = 2) -> LabeledDataset:
+def _parse_classes(spec: str | None, minimum: int = 2) -> list | None:
     if spec is None:
-        return ds
+        return None
     wanted = [c for c in (s.strip() for s in spec.split(",")) if c]
     if len(wanted) < minimum:
         raise ArgumentError(f"need at least {minimum} classes, got {wanted}")
-    return ds.subset_by_classes(wanted)
+    return wanted
+
+
+def _distances(args):
+    """(distances, labels, class names) of the --input rows in --classes.
+
+    Only the named classes' images are read, and they are dropped once
+    the distances exist.
+    """
+    ds = _load_dataset(args.input, _parse_classes(args.classes))
+    h, w = ds.image_shape  # not -1: numpy cannot infer it when no rows are kept
+    return pairwise_euclidean(ds.images.reshape(ds.n, h * w)), ds.labels, ds.class_names
 
 
 def cmd_ingest(args) -> int:
@@ -136,33 +147,30 @@ def cmd_tsne(args) -> int:
         exaggeration_iters=min(250, args.iters // 4),
         seed=args.seed,
     )
-    ds = _parse_classes(_load_dataset(args.input), args.classes)
-    emb = tsne(ds.images.reshape(ds.n, -1), cfg)
+    dm, labels, class_names = _distances(args)
+    emb = tsne(dm, cfg)
 
     rows = ["x,y,z,label,class_name"]
-    for i in range(ds.n):
-        label = int(ds.labels[i])
+    for i in range(dm.n):
+        label = int(labels[i])
         rows.append(
             f"{_f(emb.y[i, 0])},{_f(emb.y[i, 1])},{_f(emb.y[i, 2])},"
-            f"{label},{ds.class_names[label]}"
+            f"{label},{class_names[label]}"
         )
     rows += [f"#kl,{i},{_f(v)}" for i, v in enumerate(emb.kl_history)]
     _write_text(args.out_csv, "\n".join(rows) + "\n")
     _write_text(
         args.out_svg,
-        scatter_svg(emb.y[:, :2], ds.labels, ds.class_names, title="embedding"),
+        scatter_svg(emb.y[:, :2], labels, class_names, title="embedding"),
     )
 
     _write_manifest(args, [args.input], [args.out_csv, args.out_svg])
-    print(f"embedded n={ds.n} classes={len(ds.class_names)} final_kl={_f(emb.kl_history[-1])}")
+    print(f"embedded n={dm.n} classes={len(class_names)} final_kl={_f(emb.kl_history[-1])}")
     return 0
 
 
 def cmd_distmap(args) -> int:
-    ds = _parse_classes(_load_dataset(args.input), args.classes)
-    dm = pairwise_euclidean(ds.images.reshape(ds.n, -1))
-    labels, class_names = ds.labels, ds.class_names
-    del ds  # the images are not needed past the distances
+    dm, labels, class_names = _distances(args)
     dg = hcluster_average(dm)
     reordered, ribbon = clustered_map(dm, dg, labels)
     perm = dg.leaf_order

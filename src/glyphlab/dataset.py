@@ -15,7 +15,8 @@ Pixels are stored on the original 0..255 scale; readers divide by 255.
 
 Memory: one float64 copy of the paper's CGCL set (over 4,000 images at
 64x64) is 131 MB, so no function here builds a second one. read_gly
-scales its converted pixels in place, ingest_dir stacks the u8 rasters
+scales its converted pixels in place, and converts only the rows of the
+classes it is asked for, ingest_dir stacks the u8 rasters
 and converts them once, and write_gly fills one file-sized buffer,
 rounding _ROUND_IMAGES images per float64 temporary. At the benchmark's
 size the `ingest` command of 1,200 64x64 images peaks at 77-79 MB of RSS
@@ -83,10 +84,7 @@ class LabeledDataset:
             raise ArgumentError(
                 f"labels length {labels.shape} does not match image count {images.shape[0]}"
             )
-        if list(names) != sorted(names) or len(set(names)) != len(names):
-            raise ArgumentError("class_names must be unique and sorted ascending by code point")
-        if labels.size and (labels.min() < 0 or labels.max() >= len(names)):
-            raise ArgumentError("labels must index class_names")
+        _check_class_table(labels, names)
         # A NaN fails both comparisons, so no separate finiteness pass is needed.
         if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
             raise ArgumentError("image intensities must be finite and within [0, 1]")
@@ -109,15 +107,29 @@ class LabeledDataset:
 
     def subset_by_classes(self, names) -> "LabeledDataset":
         """Rows of the given classes only, relabeled against a reduced table."""
-        wanted = sorted(names)
-        for name in wanted:
-            if name not in self.class_names:
-                raise ArgumentError(f"unknown class name: {name!r}")
-        old_ids = [self.class_names.index(name) for name in wanted]
-        lut = np.zeros(len(self.class_names), dtype=np.int64)
-        lut[old_ids] = np.arange(len(old_ids))
-        keep = np.isin(self.labels, old_ids)
-        return LabeledDataset(self.images[keep], lut[self.labels[keep]], tuple(wanted))
+        keep, labels, wanted = _class_subset(self.labels, self.class_names, names)
+        return LabeledDataset(self.images[keep], labels, wanted)
+
+
+def _check_class_table(labels: np.ndarray, names: tuple) -> None:
+    if list(names) != sorted(names) or len(set(names)) != len(names):
+        raise ArgumentError("class_names must be unique and sorted ascending by code point")
+    if labels.size and (labels.min() < 0 or labels.max() >= len(names)):
+        raise ArgumentError("labels must index class_names")
+
+
+def _class_subset(labels: np.ndarray, class_names: tuple, names):
+    """(keep, labels, names): the mask of the rows of the given classes,
+    their labels against the reduced table, and that table."""
+    wanted = sorted(names)
+    for name in wanted:
+        if name not in class_names:
+            raise ArgumentError(f"unknown class name: {name!r}")
+    old_ids = [class_names.index(name) for name in wanted]
+    lut = np.zeros(len(class_names), dtype=np.int64)
+    lut[old_ids] = np.arange(len(old_ids))
+    keep = np.isin(labels, old_ids)
+    return keep, lut[labels[keep]], tuple(wanted)
 
 
 @dataclass(frozen=True)
@@ -393,8 +405,15 @@ def write_gly(ds: LabeledDataset, sink) -> int:
     return write_sink(sink, blob)
 
 
-def read_gly(source) -> LabeledDataset:
-    """Parse a GLY1 file back into a LabeledDataset."""
+def read_gly(source, classes=None) -> LabeledDataset:
+    """Parse a GLY1 file back into a LabeledDataset.
+
+    With classes, a list of class names, the result is
+    read_gly(source).subset_by_classes(classes), bit for bit, but only
+    those classes' rows are converted to float64. Every label is still
+    checked, so a corrupt file raises CorruptFileError before an
+    unknown class name raises ArgumentError.
+    """
     data = read_source(source)
     if len(data) < 4 or data[:4] != _GLY_MAGIC:
         raise CorruptFileError("bad GLY1 magic")
@@ -421,6 +440,7 @@ def read_gly(source) -> LabeledDataset:
         except UnicodeDecodeError as exc:
             raise CorruptFileError(f"GLY1 class name is not UTF-8: {exc}") from exc
         pos += blen
+    names = tuple(names)
 
     if pos + 2 * n > len(data):
         raise CorruptFileError("GLY1 label block truncated")
@@ -430,11 +450,20 @@ def read_gly(source) -> LabeledDataset:
     n_px = n * h * w
     if pos + n_px > len(data):
         raise CorruptFileError("GLY1 pixel block truncated")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=n_px, offset=pos)
-    images = pixels.astype(np.float64).reshape(n, h, w)
-    images /= 255.0
-
+    pixels = np.frombuffer(data, dtype=np.uint8, count=n_px, offset=pos).reshape(n, h, w)
     try:
-        return LabeledDataset(images, labels, tuple(names))
+        _check_class_table(labels, names)
     except ArgumentError as exc:
         raise CorruptFileError(f"GLY1 payload inconsistent: {exc}") from exc
+
+    if classes is None:
+        images = pixels.astype(np.float64)
+    else:
+        keep, labels, names = _class_subset(labels, names, classes)
+        rows = np.flatnonzero(keep)
+        # _ROUND_IMAGES rows at a time, so no 8-bit copy of the kept set.
+        images = np.empty((len(rows), h, w))
+        for s in range(0, len(rows), _ROUND_IMAGES):
+            images[s : s + _ROUND_IMAGES] = pixels[rows[s : s + _ROUND_IMAGES]]
+    images /= 255.0
+    return LabeledDataset(images, labels, names)

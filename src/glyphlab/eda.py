@@ -25,12 +25,20 @@ Each iterate builds one set of blocks: the KL recorded after a step is
 taken at exactly the y that the next step differentiates, so the descent
 passes that step's blocks to both kl_divergence and the next
 kl_gradient, and a run of k iterations builds k + 1 sets instead of 2k.
+The last step's blocks are dropped before the next ones are built.
 
-pairwise_euclidean takes the squared row norms in blocks of _BLOCK rows,
-so besides its input it holds n x n arrays and one block, never an
-n x features square. With the reader's single float64 copy, the `tsne`
-command on 800 64x64 images peaks at 70 MB of RSS and `distmap` on 360
-at 66 MB (84 and 85 MB before).
+Memory: at most one n x n matrix is built at a time beside what the
+caller holds. pairwise_euclidean takes the squared row norms in blocks
+of _BLOCK rows, builds the Gram matrix without a padded copy of its
+input, and turns it into the distances in place, a row block at a time;
+DistanceMatrix checks its matrix a row block at a time; _joint_p
+symmetrizes its conditional P in place. tsne also takes a
+DistanceMatrix, so the `tsne` command, like `distmap`, drops the images
+once it has the distances, and both read only the images of the classes
+they name. The `tsne` command on 800 64x64 images peaks at 65 MB of RSS
+and `distmap` on 360 at 59 MB (70 and 66 MB before; 84 and 85 MB before
+that); a tSNE of 4,080 such images, at the paper's CGCL size, at
+367 MB (441 MB before).
 """
 
 from __future__ import annotations
@@ -63,11 +71,16 @@ class DistanceMatrix:
         d = np.asarray(self.d, dtype=np.float64)
         if d.shape != (self.n, self.n):
             raise ArgumentError(f"distance matrix must be {self.n}x{self.n}, got {d.shape}")
-        if not np.isfinite(d).all() or (d < 0).any():
-            raise ArgumentError("distances must be finite and non-negative")
-        asym = d - d.T
-        if np.abs(asym, out=asym).max(initial=0.0) > 1e-12:
-            raise ArgumentError("distance matrix must be symmetric within 1e-12")
+        # Row block by row block, so no check builds an n x n temporary.
+        for s, e in _row_blocks(self.n):
+            rows = d[s:e]
+            if not np.isfinite(rows).all() or (rows < 0).any():
+                raise ArgumentError("distances must be finite and non-negative")
+        for s, e in _row_blocks(self.n):
+            asym = d[s:e, s:] - d[s:, s:e].T  # |a - b| = |b - a|: the upper strip covers both
+            if np.abs(asym, out=asym).max(initial=0.0) > 1e-12:
+                raise ArgumentError("distance matrix must be symmetric within 1e-12")
+            del asym  # before the next strip is built
         if d.size and np.abs(np.diag(d)).max() != 0.0:
             raise ArgumentError("distance matrix diagonal must be zero")
         object.__setattr__(self, "d", d)
@@ -96,6 +109,14 @@ class TsneConfig:
             raise ArgumentError(f"exaggeration_iters must be >= 0, got {self.exaggeration_iters}")
         if self.iters < self.exaggeration_iters:
             raise ArgumentError("iters must be >= exaggeration_iters")
+        # Each comparison is written so that NaN fails it.
+        if not self.learning_rate > 0.0:  # inf is clamped as the rate is capped
+            raise ArgumentError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.exaggeration < math.inf:
+            raise ArgumentError(f"exaggeration must be finite and > 0, got {self.exaggeration}")
+        for name in ("momentum_early", "momentum_late"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ArgumentError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -143,32 +164,52 @@ def pairwise_euclidean(x: Tensor) -> DistanceMatrix:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ArgumentError(f"need a rank-2 array with n >= 2 rows, got shape {x.shape}")
-    # OpenBLAS splits the Gram product's rows among its threads, and a
-    # split inside a kernel tile sends rows through edge kernels that
-    # round differently, so at n = 150 the bits followed the thread
-    # count. The product padded with zero rows gave the same bits under
-    # 1-4 threads at every n tried; at a multiple of _GRAM_ROWS nothing
-    # is padded, so those results are as before.
-    n = x.shape[0]
-    pad = -n % _GRAM_ROWS
-    xp = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
+    n, features = x.shape
     # Squared norms block by block: each row's sum is the same, and no
     # n x features square is built.
     sq = np.empty(n)
     for s, e in _row_blocks(n):
         xb = x[s:e]
         sq[s:e] = np.sum(xb * xb, axis=1)
-    gram = (xp @ xp.T)[:n, :n]
-    gram *= 2.0
-    d = sq[:, None] + sq[None, :]
-    d -= gram
-    del gram
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    d = d + d.T  # kill rounding asymmetry from the Gram product
-    d *= 0.5
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(x.shape[0], d)
+    # OpenBLAS splits the Gram product's rows among its threads, and a
+    # split inside a kernel tile sends rows through edge kernels that
+    # round differently, so at n = 150 the bits followed the thread
+    # count. The product of x padded with zero rows to a multiple of
+    # _GRAM_ROWS gave the same bits under 1-4 threads at every n tried.
+    # It is built here without a padded copy of x: the leading n8 rows
+    # in one product, and the last r rows, zero-padded, stacked under
+    # each _GRAM_ROWS of the others in turn, whose product with itself
+    # holds the padded product's bits for the pair. (The product of
+    # those rows and the padded ones alone differed at n = 63-150 with
+    # 70 features, where OpenBLAS takes its small-matrix kernel.)
+    r = n % _GRAM_ROWS
+    n8 = n - r
+    g = np.empty((n, n))
+    if r:
+        # The padded product read a contiguous copy, and numpy multiplies
+        # a small strided x without BLAS, so a strided x is still copied.
+        x = np.ascontiguousarray(x)
+        pair = np.zeros((2 * _GRAM_ROWS, features))
+        pair[_GRAM_ROWS : _GRAM_ROWS + r] = x[n8:]
+        tail = pair[_GRAM_ROWS:]
+        g[n8:, n8:] = (tail @ tail.T)[:r, :r]
+        for s in range(0, n8, _GRAM_ROWS):
+            e = s + _GRAM_ROWS
+            pair[:_GRAM_ROWS] = x[s:e]
+            prod = pair @ pair.T
+            g[s:e, n8:] = prod[:_GRAM_ROWS, _GRAM_ROWS : _GRAM_ROWS + r]
+            g[n8:, s:e] = prod[_GRAM_ROWS : _GRAM_ROWS + r, :_GRAM_ROWS]
+    np.matmul(x[:n8], x[:n8].T, out=g[:n8, :n8])
+    # The distances overwrite the Gram matrix a row block at a time.
+    for s, e in _row_blocks(n):
+        gb = g[s:e]
+        gb *= 2.0
+        np.subtract(sq[s:e, None] + sq[None, :], gb, out=gb)
+        np.maximum(gb, 0.0, out=gb)
+        np.sqrt(gb, out=gb)
+    _symmetrize(g, 2.0)  # kill rounding asymmetry from the Gram product
+    np.fill_diagonal(g, 0.0)
+    return DistanceMatrix(n, g)
 
 
 def calibrate_row(distances_row: Tensor, perplexity: float) -> tuple[float, Tensor]:
@@ -224,28 +265,42 @@ def calibrate_row(distances_row: Tensor, perplexity: float) -> tuple[float, Tens
     return sigma, p
 
 
-def _joint_p(x: Tensor, perplexity: float) -> Tensor:
-    n = x.shape[0]
-    d = pairwise_euclidean(x).d
+def _joint_p(x: Tensor | DistanceMatrix, perplexity: float) -> Tensor:
+    """The joint P of points x, or of a DistanceMatrix x."""
+    d = (x if isinstance(x, DistanceMatrix) else pairwise_euclidean(x)).d
+    n = len(d)
     cond = np.zeros((n, n))
     for i in range(n):
         _, p_row = calibrate_row(np.concatenate((d[i, :i], d[i, i + 1 :])), perplexity)
         cond[i, :i] = p_row[:i]
         cond[i, i + 1 :] = p_row[i:]
     del d
-    # In place from here, so at most two n x n arrays are alive at once.
-    p = cond + cond.T
-    del cond
-    p /= 2.0 * n
+    p = _symmetrize(cond, 2.0 * n)
     np.maximum(p, _P_FLOOR, out=p)
     np.fill_diagonal(p, 0.0)
     return p
 
 
 def _row_blocks(n: int):
-    """The (start, end) row ranges of the blocked tSNE iterate."""
+    """The (start, end) ranges of _BLOCK rows that the n x n passes walk."""
     for s in range(0, n, _BLOCK):
         yield s, min(s + _BLOCK, n)
+
+
+def _symmetrize(a: Tensor, divisor: float) -> Tensor:
+    """(a + a.T) / divisor, written over the square a and returned.
+
+    Each row block's upper strip and the mirrored column strip are read
+    together, so the temporary is one strip. The two sums of a pair are
+    the same bits, as IEEE addition commutes.
+    """
+    for s, e in _row_blocks(len(a)):
+        strip = a[s:e, s:] + a[s:, s:e].T
+        strip /= divisor
+        a[s:e, s:] = strip
+        a[s:, s:e] = strip.T
+        del strip  # before the next one is built
+    return a
 
 
 def _student_q(y: Tensor) -> tuple[list, float]:
@@ -315,8 +370,12 @@ def kl_gradient(p: Tensor, y: Tensor, *, affinities=None, exaggeration: float = 
     return 4.0 * (row_sums[:, None] * y - ay)
 
 
-def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
+def tsne(x: Tensor | DistanceMatrix, cfg: TsneConfig = TsneConfig()) -> Embedding:
     """Embed the rows of x into cfg.out_dims dimensions.
+
+    x is the points, one per row, or their DistanceMatrix: a caller that
+    has the distances need not keep the points, and tsne(
+    pairwise_euclidean(x), cfg) is tsne(x, cfg) bit for bit.
 
     Perplexity is clamped into [1, (n-1)/3]. The effective step size is
     the configured learning rate capped at max(1, n / exaggeration):
@@ -326,10 +385,12 @@ def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
     with stddev 1e-4 and the KL against the true (unexaggerated) P is
     recorded after every iteration.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 4:
-        raise ArgumentError(f"tsne needs at least 4 points, got shape {x.shape}")
-    n = x.shape[0]
+    if not isinstance(x, DistanceMatrix):
+        x = np.asarray(x, dtype=np.float64)
+    shape = x.d.shape if isinstance(x, DistanceMatrix) else x.shape
+    if len(shape) != 2 or shape[0] < 4:
+        raise ArgumentError(f"tsne needs at least 4 points, got shape {shape}")
+    n = shape[0]
     perplexity = min(max(cfg.perplexity, 1.0), (n - 1) / 3.0)
     eta = min(cfg.learning_rate, max(1.0, n / cfg.exaggeration))
 
@@ -347,6 +408,7 @@ def tsne(x: Tensor, cfg: TsneConfig = TsneConfig()) -> Embedding:
         momentum = cfg.momentum_early if exaggerating else cfg.momentum_late
         velocity = momentum * velocity - eta * grad
         y = y + velocity
+        del affinities  # last step's blocks go before the next ones are built
         affinities = _student_q(y)
         kl_history[it] = kl_divergence(p, y, affinities=affinities)
     return Embedding(y, kl_history)

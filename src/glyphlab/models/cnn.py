@@ -15,7 +15,9 @@ and on the way back the ReLU masks the pooled gradient and the conv
 routes it to the winning taps. Max commutes with ReLU, so the values
 are those of each layer run on its own; a window whose max is positive
 routes its gradient to the same tap, and otherwise only a zero moves,
-which changes no sum's bits. The convs share one run-sized workspace
+which changes no sum's bits while the gradient is finite. (A NaN in
+such a window's gradient reaches another tap than layer by layer: see
+layers.py.) The convs share one run-sized workspace
 for their patches and products. Loss is binary cross-entropy; training
 augments each epoch's shuffled batch stream with fresh draws, keeps
 validation clean, and returns the parameters from the epoch with the

@@ -41,7 +41,12 @@ most _ROWS patch rows (one image, when an image has more):
   and carries the bias gradient's column sums into the next run as a
   leading row, which continues the row order of one full-batch
   g.sum(axis=0). So no full-batch conv output, pool input gradient or
-  ReLU output exists, and every bit matches the layers run one by one.
+  ReLU output exists, and for a finite gradient every bit matches the
+  layers run one by one. A NaN in the pooled gradient, in a window
+  whose max is <= 0, is the exception: the ReLU mask keeps it (NaN * 0
+  is NaN), and the fused conv routes it to the window's first maximum
+  before the ReLU, where the layers run one by one send it to the first
+  tap after the ReLU, a tied 0.
 
 The runs are near-equal in length, not full runs plus a short rest: a
 product split by rows keeps the bits of the whole product only while

@@ -228,6 +228,35 @@ class TestDistmap:
                    "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["distmap", "tsne"])
+    def test_named_classes_without_rows_exit_2(self, tmp_path, command):
+        # Every row is of a third class: the two named ones read as no
+        # images, which once failed to reshape (an uncaught ValueError).
+        from glyphlab import LabeledDataset
+
+        gly = tmp_path / "d.gly"
+        write_gly(LabeledDataset(np.zeros((3, 4, 4)), np.array([2, 2, 2]), ("a", "b", "c")), gly)
+        rc = main([command, "--input", str(gly), "--classes", "a,b",
+                   "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")])
+        assert rc == 2
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # 255 images at 64x64: the Gram product pads its last 7 rows.
+        from glyphlab import LabeledDataset
+
+        gly = tmp_path / "shapes.gly"
+        ds = make_shapes_dataset(128, side=64, seed=54, noise=0.1)
+        write_gly(LabeledDataset(ds.images[:255], ds.labels[:255], ds.class_names), gly)
+        outputs = []
+        for threads in ("1", "2", "4"):
+            csv, svg = tmp_path / f"d{threads}.csv", tmp_path / f"d{threads}.svg"
+            run_cli_with_blas_threads(
+                threads, "distmap", "--input", str(gly), "--classes", "disk,square",
+                "--out-csv", str(csv), "--out-svg", str(svg),
+            )
+            outputs.append((csv.read_bytes(), svg.read_bytes()))
+        assert outputs == [outputs[0]] * 3
+
 
 class TestTrainCommands:
     def test_train_mlr_writes_model_history_manifest(self, tmp_path, shapes_gly, shapes_val_gly):

@@ -260,6 +260,41 @@ class TestGlyFormat:
         assert read_gly(io.BytesIO(buf.getvalue())).class_names == ("А", "Ж")
 
 
+class TestReadGlyClasses:
+    def gly(self, ds):
+        buf = io.BytesIO()
+        write_gly(ds, buf)
+        return buf.getvalue()
+
+    def test_matches_subset_of_the_full_read(self):
+        ds = random_dataset(Rng(14), 150, n_classes=5)  # more than one conversion block
+        data = self.gly(ds)
+        for names in (["e", "b", "a"], ["d", "b"], ["a", "b", "c", "d", "e"], ["c"]):
+            got = read_gly(io.BytesIO(data), classes=names)
+            want = read_gly(io.BytesIO(data)).subset_by_classes(names)
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tolist() == want.labels.tolist()
+            assert got.class_names == want.class_names
+
+    def test_unknown_class_is_an_argument_error(self):
+        data = self.gly(random_dataset(Rng(15), 10, n_classes=3))
+        with pytest.raises(ArgumentError, match="unknown class name: 'z'"):
+            read_gly(io.BytesIO(data), classes=["a", "z"])
+
+    def test_bad_label_in_a_dropped_class_row_is_corrupt(self):
+        ds = LabeledDataset(np.zeros((4, 2, 2)), np.array([0, 1, 2, 0]), ("a", "b", "c"))
+        data = bytearray(self.gly(ds))
+        labels_at = 24 + 3 * (2 + 1)  # header, then three one-byte names
+        assert struct.unpack_from("<H", data, labels_at + 2 * 2) == (2,)
+        struct.pack_into("<H", data, labels_at + 2 * 2, 9)  # row 2, class "c"
+        with pytest.raises(CorruptFileError, match="labels must index class_names"):
+            read_gly(io.BytesIO(bytes(data)), classes=["a", "b"])
+        # The corrupt file fails before an unknown class name is looked up.
+        with pytest.raises(CorruptFileError):
+            read_gly(io.BytesIO(bytes(data)), classes=["a", "z"])
+
+
 class TestLabeledDataset:
     def test_unsorted_class_names_rejected(self):
         with pytest.raises(ArgumentError):

@@ -174,6 +174,44 @@ class TestPairwiseEuclidean:
         with pytest.raises(ArgumentError):
             pairwise_euclidean(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("n", [9, 255, 257])
+    def test_padded_rows_without_a_copy_match_reference_bitwise(self, n):
+        # 64 features: the last rows' products run below OpenBLAS's
+        # small-matrix bound at n = 9; 255 and 257 pad 1 and 7 rows.
+        x = Rng(70 + n).uniform_array((n, 64), 0.0, 1.0)
+        assert pairwise_euclidean(x).d.tobytes() == reference_pairwise_euclidean(x).tobytes()
+
+
+class TestDistanceMatrix:
+    def good(self, n=70):
+        return pairwise_euclidean(Rng(9).uniform_array((n, 5))).d
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_in_any_row_block(self, bad):
+        d = self.good()
+        d[66, 3] = d[3, 66] = bad
+        with pytest.raises(ArgumentError, match="finite and non-negative"):
+            DistanceMatrix(70, d)
+
+    def test_rejects_asymmetry_in_any_row_block(self):
+        d = self.good()
+        d[66, 3] += 1e-9
+        with pytest.raises(ArgumentError, match="symmetric"):
+            DistanceMatrix(70, d)
+
+    def test_non_finite_is_reported_before_asymmetry(self):
+        d = self.good()
+        d[1, 2] += 1e-9
+        d[69, 68] = d[68, 69] = np.nan
+        with pytest.raises(ArgumentError, match="finite and non-negative"):
+            DistanceMatrix(70, d)
+
+    def test_rejects_nonzero_diagonal(self):
+        d = self.good()
+        d[67, 67] = 1.0
+        with pytest.raises(ArgumentError, match="diagonal"):
+            DistanceMatrix(70, d)
+
 
 class TestCalibrateRow:
     def test_equal_distances_give_uniform(self):
@@ -350,6 +388,44 @@ class TestTsne:
     def test_needs_four_points(self):
         with pytest.raises(ArgumentError):
             tsne(np.zeros((3, 2)), TsneConfig())
+        with pytest.raises(ArgumentError):
+            tsne(pairwise_euclidean(np.eye(3)), TsneConfig())
+
+    @pytest.mark.parametrize("n", [70, 150])  # two and three row blocks, neither a multiple of 8
+    def test_distance_matrix_input_gives_the_same_bits(self, n):
+        x = Rng(60 + n).uniform_array((n, 24), -1.0, 1.0)
+        cfg = TsneConfig(perplexity=12.0, iters=40, exaggeration_iters=10, seed=5)
+        want = tsne(x, cfg)
+        got = tsne(pairwise_euclidean(x), cfg)
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.kl_history.tobytes() == want.kl_history.tobytes()
+
+    def test_infinite_learning_rate_is_capped(self):
+        x = Rng(8).uniform_array((12, 3))
+        cfg = TsneConfig(iters=20, exaggeration_iters=5, seed=1)
+        want = tsne(x, cfg)
+        got = tsne(x, TsneConfig(iters=20, exaggeration_iters=5, seed=1, learning_rate=math.inf))
+        assert got.y.tobytes() == want.y.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan")])
+    def test_config_rejects_learning_rate_not_above_zero(self, rate):
+        with pytest.raises(ArgumentError, match="learning_rate must be > 0"):
+            TsneConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_exaggeration_not_finite_and_positive(self, factor):
+        with pytest.raises(ArgumentError, match="exaggeration must be finite and > 0"):
+            TsneConfig(exaggeration=factor)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, float("nan"), float("inf")])
+    def test_config_rejects_early_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ArgumentError, match=r"momentum_early must be in \[0, 1\)"):
+            TsneConfig(momentum_early=momentum)
+
+    @pytest.mark.parametrize("momentum", [5.0, 1.0, -0.5, float("nan")])
+    def test_config_rejects_late_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ArgumentError, match=r"momentum_late must be in \[0, 1\)"):
+            TsneConfig(momentum_late=momentum)
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_config_rejects_iters_below_one(self, iters):

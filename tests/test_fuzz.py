@@ -143,7 +143,7 @@ class TestCliExitCodes:
         rng = Rng(0x434C4946)
         model, data = tmp_path / "m.gmd", tmp_path / "d.gly"
         codes = set()
-        for k in range(36):
+        for k in range(48):
             kind = "mlr" if k % 2 else "cnn"
             model.write_bytes(BASE[kind])
             data.write_bytes(BASE["gly"])
@@ -151,9 +151,15 @@ class TestCliExitCodes:
                 model.write_bytes(_mutate(BASE[kind], rng, kind))
             else:
                 data.write_bytes(_mutate(BASE["gly"], rng, "gly"))
+            # The reader filtered by --classes runs on every other tsne
+            # and in each distmap.
+            classes = ["--classes", "a,b"] if k % 2 else []
             if k % 3 == 2:
-                argv = ["tsne", "--input", str(data), "--iters", "4", "--perplexity", "2",
+                argv = ["tsne", "--input", str(data), "--iters", "4", "--perplexity", "2", *classes,
                         "--out-csv", str(tmp_path / "t.csv"), "--out-svg", str(tmp_path / "t.svg")]
+            elif k % 6 == 1:
+                argv = ["distmap", "--input", str(data), *classes,
+                        "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")]
             else:
                 argv = ["evaluate", "--model", str(model), "--data", str(data),
                         "--out-csv", str(tmp_path / "e.csv"), "--roc-svg", str(tmp_path / "e.svg")]

@@ -1,7 +1,9 @@
 """Memory budgets: each command holds at most one float64 copy of its
-dataset, the helpers it calls build no full-size temporaries, a CNN
-training step keeps no full-batch patch matrix, conv output, ReLU output
-or pool gradient, and text outputs are written without a bytes copy.
+dataset (of the classes it reads), the helpers it calls build no
+full-size temporaries, tSNE holds one n x n P beside its caller's
+distances, a CNN training step keeps no full-batch patch matrix, conv
+output, ReLU output or pool gradient, and text outputs are written
+without a bytes copy.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 them next to Python objects. Each test bounds the peak of one call above
@@ -13,7 +15,8 @@ import tracemalloc
 import numpy as np
 
 from glyphlab import (
-    LabeledDataset, Rng, ingest_dir, pairwise_euclidean, read_gly, reference_cnn, write_gly,
+    LabeledDataset, Rng, TsneConfig, ingest_dir, pairwise_euclidean, read_gly, reference_cnn, tsne,
+    write_gly,
 )
 from glyphlab.augment import preset
 from glyphlab.cli import _write_text
@@ -86,14 +89,45 @@ def test_ingest_dir_holds_one_float_copy(tmp_path):
 
 
 def test_pairwise_euclidean_builds_no_row_by_feature_square():
-    n, f = 256, 4096  # n is a multiple of 8, so the Gram product pads nothing
-    x = np.random.default_rng(1).random((n, f))
-    _, peak = traced_peak(pairwise_euclidean, x)
+    # At 255 rows the Gram product pads one row, which once copied all of
+    # x (10.0 MiB at 4096 features). At 512 features the squares outweigh
+    # the norm block, and the Gram matrix, d and d + d.T side by side
+    # (about 2 squares) broke the bound.
+    for n, f in ((256, 4096), (255, 4096), (256, 512), (255, 512)):
+        x = np.random.default_rng(1).random((n, f))
+        _, peak = traced_peak(pairwise_euclidean, x)
+        square = n * n * 8
+        block = 64 * f * 8  # the squared norms of one row block
+        row_block = 64 * n * 8
+        bound = block + square + row_block + 64 * 1024
+        assert bound < x.nbytes
+        assert peak <= bound, (n, f)
+
+
+def test_tsne_of_distances_holds_p_and_one_set_of_affinity_blocks():
+    n = 1024
+    dm = pairwise_euclidean(np.random.default_rng(2).random((n, 20)))
+    cfg = TsneConfig(perplexity=20.0, iters=3, exaggeration_iters=1, seed=1)
+    _, peak = traced_peak(tsne, dm, cfg)
+    # Above the caller's distances: P (one square, symmetrized in place),
+    # one step's upper-triangle affinity blocks (n (n + 64) / 2 floats)
+    # and two row strips of the gradient, 1.67 squares; 1/4 MiB spare.
+    # P beside cond + cond.T, or two steps' blocks at once, broke it.
     square = n * n * 8
-    block = 64 * f * 8
-    bound = block + 4 * square + 64 * 1024
-    assert bound < x.nbytes
+    bound = square + n * (n + 64) // 2 * 8 + 2 * 64 * n * 8 + 2**18
+    assert bound < 1.7 * square
     assert peak <= bound
+
+
+def test_read_gly_of_some_classes_converts_only_their_rows(tmp_path):
+    ds = grid_dataset(400, 32, n_classes=5)
+    path = tmp_path / "d.gly"
+    size = write_gly(ds, path)
+    kept, peak = traced_peak(read_gly, path, ["b", "d"])
+    assert kept.n == 160
+    # the file's bytes, the kept rows as float64 and one block of 64
+    # images' 8-bit rows
+    assert peak <= size + kept.images.nbytes + 64 * 32 * 32 + 64 * 1024
 
 
 def mlr_train_copies(policy):
