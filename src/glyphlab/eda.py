@@ -35,9 +35,12 @@ DistanceMatrix checks its matrix a row block at a time; _joint_p
 symmetrizes its conditional P in place. tsne also takes a
 DistanceMatrix, so the `tsne` command, like `distmap`, drops the images
 once it has the distances, and both read only the images of the classes
-they name. The `tsne` command on 800 64x64 images peaks at 65 MB of RSS
-and `distmap` on 360 at 59 MB (70 and 66 MB before; 84 and 85 MB before
-that); a tSNE of 4,080 such images, at the paper's CGCL size, at
+they name. The distances are not dropped: only _joint_p reads them, but
+the caller still holds them, so the descent holds them, P and one
+step's affinity blocks, about 2.5 squares, and at CGCL size that sets
+the `tsne` peak. The `tsne` command on 800 64x64 images peaks at 65 MB
+of RSS and `distmap` on 360 at 59 MB (70 and 66 MB before; 84 and 85 MB
+before that); a tSNE of 4,080 such images, at the paper's CGCL size, at
 367 MB (441 MB before).
 """
 
@@ -385,9 +388,7 @@ def tsne(x: Tensor | DistanceMatrix, cfg: TsneConfig = TsneConfig()) -> Embeddin
     with stddev 1e-4 and the KL against the true (unexaggerated) P is
     recorded after every iteration.
     """
-    if not isinstance(x, DistanceMatrix):
-        x = np.asarray(x, dtype=np.float64)
-    shape = x.d.shape if isinstance(x, DistanceMatrix) else x.shape
+    shape = x.d.shape if isinstance(x, DistanceMatrix) else np.shape(x)
     if len(shape) != 2 or shape[0] < 4:
         raise ArgumentError(f"tsne needs at least 4 points, got shape {shape}")
     n = shape[0]

@@ -240,6 +240,16 @@ class TestDistmap:
                    "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("classes,code", [("disk", 2), ("disk,ghost", 3)])
+    def test_class_list_errors_against_a_corrupt_file(self, tmp_path, shapes_gly, classes, code):
+        # Too few classes is found from --classes alone, before the file
+        # is read; an unknown class only after every label is checked.
+        gly = tmp_path / "cut.gly"
+        gly.write_bytes(shapes_gly.read_bytes()[:-1])
+        rc = main(["distmap", "--input", str(gly), "--classes", classes,
+                   "--out-csv", str(tmp_path / "d.csv"), "--out-svg", str(tmp_path / "d.svg")])
+        assert rc == code
+
     def test_byte_identical_across_blas_thread_counts(self, tmp_path):
         # 255 images at 64x64: the Gram product pads its last 7 rows.
         from glyphlab import LabeledDataset
