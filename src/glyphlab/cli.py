@@ -6,7 +6,10 @@ and/or SVG plots, and drops a replay manifest next to its outputs.
 Identical arguments and seed always produce byte-identical files.
 
 Exit codes: 0 success, 2 usage or validation error, 3 I/O or corrupt
-file.
+file. A stage that runs out of memory (numpy's MemoryError, say from
+`tsne --iters 100000000000` or `ingest --size 1000000`) exits 2 too,
+with a one-line message: the size that could not be allocated follows
+from the arguments and the input, as a validation error's cause does.
 """
 
 from __future__ import annotations
@@ -368,7 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment-preview", help="write augmented P5 samples for inspection")
     p.add_argument("--input", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=int, default=1,
+                   help="augmented copies of each image (>= 1, no upper bound: "
+                        "count x images P5 files are written)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment_preview)
@@ -387,6 +392,9 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -143,9 +143,10 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        # Each comparison is written so that NaN fails it.
+        if not all(f > 0 for f in fracs):
             raise ArgumentError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ArgumentError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 

@@ -42,6 +42,14 @@ the `tsne` peak. The `tsne` command on 800 64x64 images peaks at 65 MB
 of RSS and `distmap` on 360 at 59 MB (70 and 66 MB before; 84 and 85 MB
 before that); a tSNE of 4,080 such images, at the paper's CGCL size, at
 367 MB (441 MB before).
+
+hcluster_average keeps a square of the active clusters only, in node-id
+order. The square is bitwise symmetric, so its first minimum in
+row-major order is the smallest (left, right) id pair: the tie rule
+holds by construction. A merge copies the kept rows and columns into a
+square one smaller, so at most two squares exist at once, about two
+n x n float64 matrices (the (2n-1) x (2n-1) node-id matrix it replaced
+traced 8.5). At n = 1200 it takes about 0.6 s (1.9 s before).
 """
 
 from __future__ import annotations
@@ -423,56 +431,50 @@ def hcluster_average(dm: DistanceMatrix) -> Dendrogram:
     id pair. Cluster sizes weight the running distance update, so the
     height of each merge is the exact mean pairwise distance between
     the two merged clusters' leaves.
+
+    The square holds the active clusters only, in node-id order: a merge
+    copies the kept rows and columns into a square one smaller and puts
+    the new cluster, whose id is the largest, last. The square mirrors
+    the strict upper triangle of dm.d by selection, so it is bitwise
+    symmetric, and its first minimum in row-major order is the smallest
+    (left, right) id pair: the tie rule holds by construction. At most
+    two squares of the active clusters exist at once, the old one and
+    the new; at the start the square is one n x n float64 matrix.
     """
     n = dm.n
     if n < 2:
         raise ArgumentError(f"need at least 2 points to cluster, got {n}")
 
-    total = 2 * n - 1
-    big = np.full((total, total), np.inf)
-    big[:n, :n] = dm.d
-    big[np.tril_indices(total)] = np.inf  # search the strict upper triangle only
-
-    sizes = np.zeros(total, dtype=np.int64)
-    sizes[:n] = 1
-    active = np.zeros(total, dtype=bool)
-    active[:n] = True
-
+    d = np.where(np.tri(n, dtype=bool), dm.d.T, dm.d)  # selects, so a -0.0 keeps its sign
+    np.fill_diagonal(d, np.inf)
+    ids, sizes = list(range(n)), [1] * n
     merges = []
-    children: dict[int, tuple[int, int]] = {}
-    for step in range(n - 1):
-        flat = np.argmin(big)
-        a, b = int(flat // total), int(flat % total)
-        height = float(big[a, b])
-        new = n + step
-        children[new] = (a, b)
-        merges.append((a, b, height, int(sizes[a] + sizes[b])))
+    for new in range(n, 2 * n - 1):
+        m = len(ids)
+        i, j = divmod(int(np.argmin(d)), m)
+        si, sj = sizes[i], sizes[j]
+        merges.append((ids[i], ids[j], float(d[i, j]), si + sj))
 
-        # Lance-Williams update for average linkage, over every other
-        # active cluster k at once; distances live at [min, max].
-        ks = np.flatnonzero(active)
-        ks = ks[(ks != a) & (ks != b)]
-        dak = big[np.minimum(a, ks), np.maximum(a, ks)]
-        dbk = big[np.minimum(b, ks), np.maximum(b, ks)]
-        big[ks, new] = (sizes[a] * dak + sizes[b] * dbk) / (sizes[a] + sizes[b])
-        sizes[new] = sizes[a] + sizes[b]
-        active[a] = active[b] = False
-        active[new] = True
-        big[a, :] = np.inf
-        big[:, a] = np.inf
-        big[b, :] = np.inf
-        big[:, b] = np.inf
+        # Lance-Williams update for average linkage, against every slot.
+        row = (si * d[i] + sj * d[j]) / (si + sj)
+        runs = ((0, i, 0), (i + 1, j, i), (j + 1, m, j - 1))  # kept (start, stop, to)
+        nd = np.empty((m - 1, m - 1))
+        for r0, r1, rt in runs:
+            for c0, c1, ct in runs:
+                nd[rt:rt + r1 - r0, ct:ct + c1 - c0] = d[r0:r1, c0:c1]
+        nd[-1, :-1] = nd[:-1, -1] = np.delete(row, (i, j))
+        nd[-1, -1] = np.inf
+        d = nd
+        ids = ids[:i] + ids[i + 1:j] + ids[j + 1:] + [new]
+        sizes = sizes[:i] + sizes[i + 1:j] + sizes[j + 1:] + [si + sj]
 
-    leaf_order = []
-    stack = [total - 1]
+    leaf_order, stack = [], [2 * n - 2]
     while stack:
         node = stack.pop()
         if node < n:
             leaf_order.append(node)
         else:
-            left, right = children[node]
-            stack.append(right)
-            stack.append(left)
+            stack += merges[node - n][1::-1]  # right, then left on top
     return Dendrogram(tuple(merges), tuple(leaf_order))
 
 

@@ -602,6 +602,36 @@ class TestArgumentChecks:
         assert rc == 2
         assert not (tmp_path / "x.gly").exists()
 
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64",
+         "error: out of memory: Unable to allocate 745. GiB for an array with shape (100000000000,)"
+         " and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_tsne_out_of_memory_exit_2_with_one_line(self, tmp_path, shapes_gly, monkeypatch, capsys,
+                                                     message, want):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("glyphlab.cli.tsne", exhausted)
+        rc = main(["tsne", "--input", str(shapes_gly), "--iters", "100000000000",
+                   "--out-csv", str(tmp_path / "o" / "e.csv"), "--out-svg", str(tmp_path / "o" / "e.svg")])
+        assert rc == 2
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "o").exists()
+
+    def test_ingest_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("glyphlab.cli.ingest_dir", exhausted)
+        write_pgm_tree(tmp_path / "raw", {"A": {"a.pgm": np.full((3, 3), 40)}})
+        rc = main(["ingest", "--input", str(tmp_path / "raw"), "--output", str(tmp_path / "x.gly"),
+                   "--size", "1000000"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+        assert not (tmp_path / "x.gly").exists()
+
 
 class TestOutputDirectories:
     """Every output, binary or text, creates its missing parent directory."""

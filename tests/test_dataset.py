@@ -1,5 +1,6 @@
 import io
 import struct
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -209,6 +210,11 @@ class TestSplitStratified:
             SplitSpec(0.5, 0.2, 0.2)
         with pytest.raises(ArgumentError):
             SplitSpec(1.0, -0.1, 0.1)
+        for fracs in ((nan, 0.15, 0.15), (0.7, nan, 0.15), (0.7, 0.15, nan)):
+            with pytest.raises(ArgumentError, match="split fractions must be positive"):
+                SplitSpec(*fracs)
+        with pytest.raises(ArgumentError, match="split fractions must sum to 1"):
+            SplitSpec(inf, 0.15, 0.15)
 
 
 class TestGlyFormat:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -126,6 +127,35 @@ def reference_tsne(x, cfg):
 
 def random_distance_matrix(rng, n):
     return pairwise_euclidean(rng.uniform_array((n, 3), -5.0, 5.0))
+
+
+def merge_log_digest(dg):
+    """sha256 of the merge ids and sizes, the height bytes and the leaf order."""
+    h = hashlib.sha256()
+    h.update(np.array([m[:2] + m[3:] for m in dg.merges], dtype=np.int64).tobytes())
+    h.update(np.array([m[2] for m in dg.merges], dtype=np.float64).tobytes())
+    h.update(np.array(dg.leaf_order, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def euclidean_150():
+    return pairwise_euclidean(Rng(150).uniform_array((150, 8), -5.0, 5.0))
+
+
+def integer_ties_60():
+    up = np.triu(np.random.default_rng(60).integers(1, 4, size=(60, 60)).astype(np.float64), 1)
+    return DistanceMatrix(60, up + up.T)
+
+
+def offset_lower_and_negative_zero_40():
+    """Half the lower triangle 5e-13 above the upper, and d[3, 17] = -0.0,
+    the unique minimum."""
+    rng = np.random.default_rng(40)
+    up = np.triu(rng.uniform(1.0, 9.0, size=(40, 40)), 1)
+    d = up + up.T
+    d[np.tril(rng.random((40, 40)) < 0.5, -1)] += 5e-13
+    d[3, 17], d[17, 3] = -0.0, 0.0
+    return DistanceMatrix(40, d)
 
 
 def reference_pairwise_euclidean(x):
@@ -504,6 +534,17 @@ class TestHclusterAverage:
     def test_leaf_order_is_dfs_left_first(self):
         d = DistanceMatrix(3, np.array([[0, 1, 10], [1, 0, 10], [10, 10, 0.0]]))
         assert hcluster_average(d).leaf_order == (2, 0, 1)
+
+    # Digests of the (2n-1)^2-matrix implementation this one replaced; the
+    # brute-force oracles above allow 1e-9 on the heights, these allow none.
+    @pytest.mark.parametrize("make, want", [
+        (euclidean_150, "0588f2052ab441ec9a39160fddc9f85791079b7fd18606309a5481724b56ac84"),
+        (integer_ties_60, "183cb5168a2568696c298a1789e8fa77d0ad439ab1736e50fae0be119604a36f"),
+        (offset_lower_and_negative_zero_40,
+         "6fe51e58899c75ea0a38657242e7688f69624137e0b5e083d4456b809bd2a181"),
+    ])
+    def test_merge_log_bits_are_pinned(self, make, want):
+        assert merge_log_digest(hcluster_average(make())) == want
 
 
 class TestClusteredMap:

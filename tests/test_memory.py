@@ -1,9 +1,9 @@
 """Memory budgets: each command holds at most one float64 copy of its
 dataset (of the classes it reads), the helpers it calls build no
 full-size temporaries, tSNE holds one n x n P beside its caller's
-distances, a CNN training step keeps no full-batch patch matrix, conv
-output, ReLU output or pool gradient, and text outputs are written
-without a bytes copy.
+distances, UPGMA holds two squares of its active clusters, a CNN
+training step keeps no full-batch patch matrix, conv output, ReLU output
+or pool gradient, and text outputs are written without a bytes copy.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 them next to Python objects. Each test bounds the peak of one call above
@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 
 from glyphlab import (
-    LabeledDataset, Rng, TsneConfig, ingest_dir, pairwise_euclidean, read_gly, reference_cnn, tsne,
-    write_gly,
+    LabeledDataset, Rng, TsneConfig, hcluster_average, ingest_dir, pairwise_euclidean, read_gly,
+    reference_cnn, tsne, write_gly,
 )
 from glyphlab.augment import preset
 from glyphlab.cli import _write_text
@@ -117,6 +117,17 @@ def test_tsne_of_distances_holds_p_and_one_set_of_affinity_blocks():
     bound = square + n * (n + 64) // 2 * 8 + 2 * 64 * n * 8 + 2**18
     assert bound < 1.7 * square
     assert peak <= bound
+
+
+def test_hcluster_average_holds_two_squares_of_active_clusters():
+    n = 400
+    dm = pairwise_euclidean(np.random.default_rng(3).random((n, 16)))
+    _, peak = traced_peak(hcluster_average, dm)
+    # The active clusters' square and the one-smaller square it is copied
+    # into, plus O(n) rows, ids and merge records; 1/4 MiB spare. The
+    # (2n-1)^2 node-id matrix read 8.5 squares.
+    square = n * n * 8
+    assert peak <= 2 * square + 2**18
 
 
 def test_read_gly_of_some_classes_converts_only_their_rows(tmp_path):
